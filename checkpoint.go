@@ -79,10 +79,21 @@ func NewRunCheckpointer(path string, interval time.Duration, state *RunState) *R
 	return ckpt.NewWriter(path, interval, state)
 }
 
-// ConfigFingerprint hashes an ordered list of configuration facets into
-// the fingerprint stored in snapshots, so resuming under a different
-// configuration is detected instead of silently producing wrong numbers.
-func ConfigFingerprint(parts ...string) uint64 { return ckpt.Fingerprint(parts...) }
+// numericsEpoch names the generation of the numerical kernels behind
+// every sampled variate. ConfigFingerprint hashes it ahead of the
+// configuration facets: a kernel change moves the low bits of every
+// payload under an unchanged configuration, so snapshots and fleet
+// workers from before it must be refused, not merged. Bump it whenever
+// a kernel change moves any sampled value.
+const numericsEpoch = "numerics/1"
+
+// ConfigFingerprint hashes an ordered list of configuration facets,
+// preceded by the numerics epoch, into the fingerprint stored in
+// snapshots, so resuming under a different configuration or numerical
+// kernel is detected instead of silently producing wrong numbers.
+func ConfigFingerprint(parts ...string) uint64 {
+	return ckpt.Fingerprint(append([]string{numericsEpoch}, parts...)...)
+}
 
 // MonteCarloCheckpointed is MonteCarloContext with durable run state:
 // blocks already in ck are restored instead of re-run, fresh blocks are

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +13,10 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/ckpt"
+	"reskit/internal/distrun"
 	"reskit/internal/engine"
+	"reskit/internal/httpd"
 	"reskit/internal/lawspec"
 	"reskit/internal/sim"
 )
@@ -24,9 +28,11 @@ var campaignArgs = []string{
 	"-totalwork", "120", "-trials", "1280", "-seed", "7",
 }
 
-// localAggregate computes the reference aggregate through the local
-// engine, exactly as simulate's campaign mode would.
-func localAggregate(t *testing.T) sim.CampaignAggregate {
+// testTrials is the -trials value of campaignArgs.
+const testTrials = 1280
+
+// testCampaign builds the campaign of campaignArgs as the CLI does.
+func testCampaign(t *testing.T) reskit.CampaignConfig {
 	t.Helper()
 	law, err := lawspec.Parse("uniform:1,3")
 	if err != nil {
@@ -36,9 +42,51 @@ func localAggregate(t *testing.T) sim.CampaignAggregate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 1280
-	n := sim.NumCampaignBlocks(trials)
-	grid := sweepGrid{cfgs: []reskit.CampaignConfig{cfg}, trials: trials, numBlocks: n}
+	return cfg
+}
+
+// startCoordinator runs the CLI coordinator with args on a random
+// loopback port and returns its base URL once it is published, the
+// channel run's error arrives on, and the coordinator's output.
+func startCoordinator(t *testing.T, args ...string) (url string, coErr <-chan error, coOut *bytes.Buffer) {
+	t.Helper()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	coOut = new(bytes.Buffer)
+	errc := make(chan error, 1)
+	args = append(append([]string{}, args...), "-listen", "127.0.0.1:0", "-addr-file", addrFile)
+	go func() { errc <- run(args, coOut) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never published its address; output so far:\n%s", coOut.String())
+		}
+		if data, err := os.ReadFile(addrFile); err == nil {
+			return "http://" + strings.TrimSpace(string(data)), errc, coOut
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitCoordinator fails the test unless the coordinator finishes
+// cleanly within 30 s.
+func waitCoordinator(t *testing.T, coErr <-chan error, coOut *bytes.Buffer) {
+	t.Helper()
+	select {
+	case err := <-coErr:
+		if err != nil {
+			t.Fatalf("coordinator: %v\noutput:\n%s", err, coOut.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinator never finished; output:\n%s", coOut.String())
+	}
+}
+
+// localAggregate computes the reference aggregate through the local
+// engine, exactly as simulate's campaign mode would.
+func localAggregate(t *testing.T) sim.CampaignAggregate {
+	t.Helper()
+	n := sim.NumCampaignBlocks(testTrials)
+	grid := sweepGrid{cfgs: []reskit.CampaignConfig{testCampaign(t)}, trials: testTrials, numBlocks: n}
 	jobs := make([]engine.Job, n)
 	for i := range jobs {
 		jobs[i] = grid.job(i)
@@ -60,31 +108,12 @@ func localAggregate(t *testing.T) sim.CampaignAggregate {
 // printed digit.
 func TestDistrunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
-
-	var coOut bytes.Buffer
 	coArgs := append([]string{}, campaignArgs...)
 	coArgs = append(coArgs,
-		"-listen", "127.0.0.1:0", "-addr-file", addrFile,
 		"-checkpoint", filepath.Join(dir, "run.ckpt"), "-checkpoint-interval", "10ms",
 		"-lease-ttl", "2s", "-target-lease", "20ms",
 	)
-	coErr := make(chan error, 1)
-	go func() { coErr <- run(coArgs, &coOut) }()
-
-	// The coordinator publishes its bound address once listening.
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never published its address; output so far:\n%s", coOut.String())
-		}
-		if data, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(data))
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	url, coErr, coOut := startCoordinator(t, coArgs...)
 
 	var wg sync.WaitGroup
 	werrs := make([]error, 2)
@@ -93,7 +122,7 @@ func TestDistrunEndToEnd(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			wArgs := append([]string{}, campaignArgs...)
-			wArgs = append(wArgs, "-worker", "http://"+addr, "-name", fmt.Sprintf("w%d", w), "-workers", "2")
+			wArgs = append(wArgs, "-worker", url, "-name", fmt.Sprintf("w%d", w), "-workers", "2")
 			var wOut bytes.Buffer
 			werrs[w] = run(wArgs, &wOut)
 		}(w)
@@ -104,14 +133,7 @@ func TestDistrunEndToEnd(t *testing.T) {
 			t.Errorf("worker %d: %v", w, werr)
 		}
 	}
-	select {
-	case err := <-coErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v\noutput:\n%s", err, coOut.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator never finished; output:\n%s", coOut.String())
-	}
+	waitCoordinator(t, coErr, coOut)
 
 	// The printed aggregate must carry the local run's exact numbers.
 	want := localAggregate(t)
@@ -140,62 +162,27 @@ func TestDistrunEndToEnd(t *testing.T) {
 // block payload functions, same row-major merge — so the two CLIs are
 // pinned to bit-identical sweep results.
 func TestDistrunFaultSweepMatchesSimulate(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
 	sweepArgs := append([]string{}, campaignArgs...)
 	sweepArgs = append(sweepArgs, "-faultsweep", "30,60")
-
-	var coOut bytes.Buffer
 	coArgs := append([]string{}, sweepArgs...)
-	coArgs = append(coArgs, "-listen", "127.0.0.1:0", "-addr-file", addrFile,
-		"-lease-ttl", "2s", "-target-lease", "20ms")
-	coErr := make(chan error, 1)
-	go func() { coErr <- run(coArgs, &coOut) }()
-
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never published its address; output so far:\n%s", coOut.String())
-		}
-		if data, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(data))
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	coArgs = append(coArgs, "-lease-ttl", "2s", "-target-lease", "20ms")
+	url, coErr, coOut := startCoordinator(t, coArgs...)
 	wArgs := append([]string{}, sweepArgs...)
-	wArgs = append(wArgs, "-worker", "http://"+addr, "-workers", "2")
+	wArgs = append(wArgs, "-worker", url, "-workers", "2")
 	var wOut bytes.Buffer
 	if werr := run(wArgs, &wOut); werr != nil {
 		t.Errorf("worker: %v", werr)
 	}
-	select {
-	case err := <-coErr:
-		if err != nil {
-			t.Fatalf("coordinator: %v\noutput:\n%s", err, coOut.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator never finished; output:\n%s", coOut.String())
-	}
+	waitCoordinator(t, coErr, coOut)
 
 	// Local reference: the identical grid simulate's runFaultSweep lays
 	// out, run through the in-process engine.
-	law, err := lawspec.Parse("uniform:1,3")
+	mtbfs, cfgs, err := sim.FaultSweepConfigs(testCampaign(t), "30,60")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := buildCampaign(60, 0, 120, "exp:0.05", "", law, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 1280
-	mtbfs, cfgs, err := sim.FaultSweepConfigs(cfg, "30,60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := sim.NumCampaignBlocks(trials)
-	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: trials, numBlocks: n}
+	n := sim.NumCampaignBlocks(testTrials)
+	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: testTrials, numBlocks: n}
 	jobs := make([]engine.Job, len(cfgs)*n)
 	for i := range jobs {
 		jobs[i] = grid.job(i)
@@ -274,4 +261,34 @@ func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
 	if got != want {
 		t.Fatalf("fingerprint parts drifted: %016x != %016x", got, want)
 	}
+}
+
+// TestDistrunRefusesPreEpochWorker: a worker that fingerprints the run
+// without the numerics epoch (the same facets hashed the way builds
+// before the epoch hashed them) computes its payloads with older
+// numerical kernels. The coordinator must refuse it with 409, and a
+// current worker must still finish the run.
+func TestDistrunRefusesPreEpochWorker(t *testing.T) {
+	url, coErr, coOut := startCoordinator(t, campaignArgs...)
+
+	n := sim.NumCampaignBlocks(testTrials)
+	grid := sweepGrid{cfgs: []reskit.CampaignConfig{testCampaign(t)}, trials: testTrials, numBlocks: n}
+	stale := ckpt.Fingerprint(
+		"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
+		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7",
+	)
+	err := distrun.RunWorker(context.Background(), distrun.WorkerConfig{
+		URL: url, Name: "stale", NumJobs: n, Seed: 7, Fingerprint: stale, Job: grid.job,
+	})
+	var serr *httpd.StatusError
+	if !errors.As(err, &serr) || serr.Status != 409 || !strings.Contains(serr.Message, "fingerprint") {
+		t.Fatalf("pre-epoch worker: err = %v, want a 409 fingerprint refusal", err)
+	}
+
+	wArgs := append([]string{}, campaignArgs...)
+	wArgs = append(wArgs, "-worker", url, "-name", "current")
+	if err := run(wArgs, &bytes.Buffer{}); err != nil {
+		t.Fatalf("current worker: %v", err)
+	}
+	waitCoordinator(t, coErr, coOut)
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/ckpt"
+	"reskit/internal/sim"
 )
 
 // campaignArgs is the fixed campaign configuration shared by the
@@ -113,6 +115,52 @@ func TestResumeMismatchedConfigStartsFresh(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "starting fresh") {
 		t.Errorf("mismatched snapshot should trigger a fresh run, got %q", out.String())
+	}
+}
+
+// TestResumeRefusesPreEpochSnapshot: a snapshot fingerprinted without
+// the numerics epoch (the same facets hashed the way builds before the
+// epoch hashed them) holds payloads from older numerical kernels, which
+// differ in their low bits. Resume must refuse it and start fresh, while
+// the same snapshot under the current fingerprint is restored.
+func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
+	args := []string{
+		"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
+		"-recovery", "1.5", "-totalwork", "120", "-trials", "2000", "-seed", "5",
+	}
+	parts := []string{
+		"campaign", "R=29", "recovery=1.5", "task=norm:3,0.5@[0,inf]", "taskdisc=",
+		"ckpt=norm:5,0.4@[0,inf]", "totalwork=120", "faults=no faults", "trials=2000", "seed=5",
+	}
+	var fresh bytes.Buffer
+	if err := run(args, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	jobs := int64(sim.NumCampaignBlocks(2000))
+	for _, tc := range []struct {
+		name string
+		fp   uint64
+		want string
+	}{
+		{"current", reskit.ConfigFingerprint(parts...), "resume: restoring 0/"},
+		{"pre-epoch", ckpt.Fingerprint(parts...), "does not match this run"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			if err := ckpt.New(ckpt.KindJobs, tc.fp, 5, jobs, 1).WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := run(append(append([]string{}, args...), "-checkpoint", path, "-resume"), &out); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Errorf("resume output lacks %q:\n%s", tc.want, out.String())
+			}
+			if got, want := campaignResultLines(out.String()), campaignResultLines(fresh.String()); got != want {
+				t.Errorf("aggregates differ from a fresh run:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 

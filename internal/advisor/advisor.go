@@ -587,9 +587,11 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fingerprintVersion names the key schema; bump it when the fingerprint
-// input set changes, so stale store artifacts miss instead of mislead.
-const fingerprintVersion = "advise/v1"
+// fingerprintVersion names the key schema and the numerics behind the
+// artifacts; bump it when the fingerprint input set changes or a kernel
+// change moves table values (v2: the AS241 Normal quantile), so stale
+// store artifacts miss instead of mislead.
+const fingerprintVersion = "advise/v2"
 
 func fpString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {

@@ -253,14 +253,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One Source per worker, reinitialized per job (and per
-			// attempt) — state identical to a fresh NewStream, with no
-			// per-job allocation. jit is backoff-jitter scratch; it
-			// never touches the job substream.
-			var src, jit rng.Source
+			// One padded pair of Sources per worker, reinitialized per
+			// job (and per attempt) — state identical to a fresh
+			// NewStream, with no per-job allocation.
+			ws := new(workerSources)
 			for i := range jobs {
 				job := spec.Jobs[i]
-				jr, attempts, verdict, jerr := ex.runJob(jobCtx, i, &job, &src, &jit)
+				jr, attempts, verdict, jerr := ex.runJob(jobCtx, i, &job, ws)
 				switch verdict {
 				case jobDrained:
 					return // drained cleanly at a job boundary

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"reskit/internal/ckpt"
 	"reskit/internal/obs"
@@ -334,5 +335,18 @@ func TestRunTicksProgress(t *testing.T) {
 	}
 	if p.Done() != 6 {
 		t.Fatalf("progress done = %d, want 6", p.Done())
+	}
+}
+
+// TestWorkerSourcesPadded pins the cache-line isolation of a worker's
+// generators: at least 128 bytes of padding before src and after jit,
+// so two workers' heap-allocated sources never share a line.
+func TestWorkerSourcesPadded(t *testing.T) {
+	var ws workerSources
+	if head := unsafe.Offsetof(ws.src); head < 128 {
+		t.Errorf("src starts %d bytes into workerSources, want >= 128", head)
+	}
+	if tail := unsafe.Sizeof(ws) - (unsafe.Offsetof(ws.jit) + unsafe.Sizeof(ws.jit)); tail < 128 {
+		t.Errorf("jit ends %d bytes before the end of workerSources, want >= 128", tail)
 	}
 }

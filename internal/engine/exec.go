@@ -51,6 +51,20 @@ func newExecutor(seed uint64, pol Failure, reg *obs.Registry) *executor {
 	}
 }
 
+// workerSources is one worker's scratch generators: src is reinitialized
+// onto each job's substream, and jit draws retry-backoff jitter without
+// touching any job substream. src escapes to the heap through Job.Run,
+// and two workers' bare Sources can share a cache line, so every draw
+// of one worker would evict the line the other draws from. The pads
+// give each worker's sources cache lines of their own (128 bytes also
+// covers adjacent-line prefetch pairs).
+type workerSources struct {
+	_   [128]byte
+	src rng.Source
+	jit rng.Source
+	_   [128]byte
+}
+
 // runJob drives one job to its policy verdict on a worker's scratch
 // sources: every attempt restarts the job substream from scratch (so a
 // retried job's payload is the same pure function of (seed, stream) as
@@ -58,7 +72,8 @@ func newExecutor(seed uint64, pol Failure, reg *obs.Registry) *executor {
 // retries wait the deterministic jittered backoff. attempts is the
 // attempt count at the verdict; err is the terminal job error for the
 // failed verdicts.
-func (e *executor) runJob(ctx context.Context, i int, job *Job, src, jit *rng.Source) (jr JobResult, attempts int, verdict jobVerdict, err error) {
+func (e *executor) runJob(ctx context.Context, i int, job *Job, ws *workerSources) (jr JobResult, attempts int, verdict jobVerdict, err error) {
+	src := &ws.src
 	for attempt := 1; ; attempt++ {
 		src.Reinit(e.seed, job.Stream)
 		var jobStart time.Time
@@ -82,7 +97,7 @@ func (e *executor) runJob(ctx context.Context, i int, job *Job, src, jit *rng.So
 		fabricated := isContextErr(jerr) && !timedOut
 		if !fabricated && attempt <= e.pol.Retries {
 			e.retryCtr.Inc()
-			if !sleepBackoff(ctx, e.pol, e.seed, i, attempt, jit) {
+			if !sleepBackoff(ctx, e.pol, e.seed, i, attempt, &ws.jit) {
 				return jr, attempt, jobDrained, nil
 			}
 			continue

@@ -12,7 +12,6 @@ import (
 
 	"reskit/internal/ckpt"
 	"reskit/internal/obs"
-	"reskit/internal/rng"
 )
 
 // StreamSink folds committed payloads into a running aggregate, in
@@ -201,11 +200,11 @@ func RunStream(ctx context.Context, spec StreamSpec) (*StreamResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One Source per worker, reinitialized per attempt; jit is
-			// backoff-jitter scratch that never touches job substreams.
-			var src, jit rng.Source
+			// One padded pair of Sources per worker, reinitialized per
+			// attempt.
+			ws := new(workerSources)
 			for d := range jobsCh {
-				jr, attempts, verdict, jerr := ex.runJob(jobCtx, d.i, &d.job, &src, &jit)
+				jr, attempts, verdict, jerr := ex.runJob(jobCtx, d.i, &d.job, ws)
 				resCh <- outcome{i: d.i, name: d.job.Name, jr: jr, verdict: verdict, attempts: attempts, err: jerr}
 			}
 		}()

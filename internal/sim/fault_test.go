@@ -92,17 +92,20 @@ func TestCampaignFaultGoldenRegression(t *testing.T) {
 	// any change to the documented fault sampling order (recovery, then
 	// revocation horizon, then first crash gap; one gap per crash, one
 	// commit variate per completed attempt) breaks these exact numbers.
+	// The counts depend only on that order; Committed and LostWork also
+	// carry the last bits of specfun.NormQuantile, so a change of the
+	// quantile kernel may move them by an ulp or two and nothing else.
 	golden := map[string]struct {
 		plan *fault.Plan
 		want CampaignResult
 	}{
 		"crash": {
 			plan: &fault.Plan{Crash: fault.ExpArrival{Rate: 0.02}},
-			want: CampaignResult{Reservations: 16, Committed: 210.854894109997, LostWork: 134.13343169175508, Crashes: 5, Completed: true},
+			want: CampaignResult{Reservations: 16, Committed: 210.85489410999696, LostWork: 134.13343169175508, Crashes: 5, Completed: true},
 		},
 		"ckptfail": {
 			plan: &fault.Plan{Ckpt: fault.CkptBernoulli{P: 0.3}},
-			want: CampaignResult{Reservations: 17, Committed: 212.4887309758422, LostWork: 151.9579358775373, CkptFaults: 5, Completed: true},
+			want: CampaignResult{Reservations: 17, Committed: 212.48873097584217, LostWork: 151.9579358775373, CkptFaults: 5, Completed: true},
 		},
 		"revoke": {
 			plan: &fault.Plan{Revoke: fault.UniformRevocation{P: 0.3}},
@@ -110,7 +113,7 @@ func TestCampaignFaultGoldenRegression(t *testing.T) {
 		},
 		"all": {
 			plan: &fault.Plan{Crash: fault.ExpArrival{Rate: 0.02}, Ckpt: fault.CkptBernoulli{P: 0.3}, Revoke: fault.UniformRevocation{P: 0.3}},
-			want: CampaignResult{Reservations: 45, Committed: 215.08826634667318, LostWork: 632.111114554945, CkptFaults: 12, Crashes: 12, RevokedRes: 10, Completed: true},
+			want: CampaignResult{Reservations: 45, Committed: 215.08826634667318, LostWork: 632.1111145549448, CkptFaults: 12, Crashes: 12, RevokedRes: 10, Completed: true},
 		},
 	}
 	for name, g := range golden {

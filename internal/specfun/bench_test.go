@@ -61,9 +61,56 @@ func BenchmarkNormCDFInterval(b *testing.B) {
 	}
 }
 
+// normQuantilePanel maps 1024 evenly spread points u in (0, 1) (a
+// golden-ratio sequence) through f into a panel of probabilities.
+func normQuantilePanel(f func(i int, u float64) float64) []float64 {
+	ps := make([]float64, 1024)
+	for i := range ps {
+		_, u := math.Modf(0.5 + float64(i)*0.6180339887498949)
+		ps[i] = f(i, u)
+	}
+	return ps
+}
+
+// tailPanel draws r = sqrt(-ln min(p, 1-p)) evenly from [lo, hi] and
+// alternates between the lower and the upper tail.
+func tailPanel(lo, hi float64) []float64 {
+	return normQuantilePanel(func(i int, u float64) float64 {
+		r := lo + u*(hi-lo)
+		p := math.Exp(-r * r)
+		if i%2 == 1 {
+			p = 1 - p
+		}
+		return p
+	})
+}
+
+// BenchmarkNormQuantile times each branch of the AS241 kernel, and the
+// p-mix the canonical instance feeds it: the truncated-Normal sampler
+// maps u ~ U(0,1) to p = F(0) + u*(1-F(0)) for the task law N(3, 0.5^2)
+// and the checkpoint law N(5, 0.4^2), both truncated to [0, inf).
 func BenchmarkNormQuantile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = NormQuantile(0.3)
+	fTask, fCkpt := NormCDF(-3/0.5), NormCDF(-5/0.4)
+	for _, bc := range []struct {
+		name string
+		ps   []float64
+	}{
+		{"central", normQuantilePanel(func(_ int, u float64) float64 { return 0.075 + 0.85*u })},
+		{"tail", tailPanel(math.Sqrt(-math.Log(0.075)), 5)},
+		{"deeptail", tailPanel(5, 26)},
+		{"canonical", normQuantilePanel(func(i int, u float64) float64 {
+			f := fTask
+			if i%2 == 1 {
+				f = fCkpt
+			}
+			return f + u*(1-f)
+		})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = NormQuantile(bc.ps[i&(len(bc.ps)-1)])
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@
 //   - the standard Normal law: density Phi' (NormPDF), distribution
 //     function Phi (NormCDF), its complement, logarithmic variants that are
 //     accurate deep in the tails, and the quantile function (NormQuantile,
-//     Wichura/Acklam style with a Halley refinement step);
+//     Wichura's AS241 rational approximations, full double precision
+//     without a refinement step);
 //   - the Lambert W function on its principal branch (LambertW0), together
 //     with a log-domain variant LambertWExpArg that evaluates W(e^y)
 //     without overflow for arbitrarily large y — exactly the form that
