@@ -40,7 +40,6 @@ import (
 	"reskit/internal/httpd"
 	"reskit/internal/lawspec"
 	"reskit/internal/obs"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -164,23 +163,14 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Sprintf("trials=%d", *trials),
 		fmt.Sprintf("seed=%d", *seed),
 	)
-	numBlocks := sim.NumCampaignBlocks(*trials)
-	// The sweep grid is row-major over (MTBF row, block): the very job
-	// layout of simulate's -faultsweep, so job i means the same work on
-	// both sides. An empty sweep is a single implicit row — the plain
-	// campaign.
-	var (
-		mtbfs []float64
-		cfgs  []reskit.CampaignConfig
-	)
+	// The job grid is simulate's own (sim.SweepGrid), so job i means the
+	// same work on both sides. A plain campaign is a one-row grid.
+	grid := sim.CampaignGrid(cfg, *trials)
 	if *faultSweep != "" {
-		if mtbfs, cfgs, err = sim.FaultSweepConfigs(cfg, *faultSweep); err != nil {
+		if grid, err = sim.FaultSweepGrid(cfg, *faultSweep, *trials); err != nil {
 			return fmt.Errorf("-faultsweep: %w", err)
 		}
-	} else {
-		cfgs = []reskit.CampaignConfig{cfg}
 	}
-	numJobs := len(cfgs) * numBlocks
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -190,9 +180,8 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: *trials, numBlocks: numBlocks}
 	if *workerURL != "" {
-		return runWorker(sigCtx, out, *workerURL, *name, grid, numJobs, *seed, fp,
+		return runWorker(sigCtx, out, *workerURL, *name, grid, *seed, fp,
 			engine.Failure{Retries: *retries, Backoff: *retryBackoff, JobTimeout: *jobTimeout}, *workers)
 	}
 	return runCoordinator(sigCtx, out, coordinatorOpts{
@@ -201,41 +190,7 @@ func run(args []string, out io.Writer) (err error) {
 		keepGoing:   *keepGoing,
 		jobAttempts: *jobAttempts,
 		leaseTTL:    *leaseTTL, targetLease: *targetLease, minLease: *minLease, maxLease: *maxLease,
-	}, grid, numJobs, *seed, fp)
-}
-
-// sweepGrid is the job layout both distrun roles share: the campaign
-// rows (one for a plain campaign, one per MTBF for -faultsweep), laid
-// out row-major over (row, block). Job i simulates block i%numBlocks of
-// row i/numBlocks — the identical layout, names and payload functions
-// as simulate's -campaign/-faultsweep job grids.
-type sweepGrid struct {
-	cfgs      []reskit.CampaignConfig
-	mtbfs     []float64 // nil for a plain campaign
-	trials    int
-	numBlocks int
-}
-
-// jobName renders job i's canonical name.
-func (g sweepGrid) jobName(i int) string {
-	if g.mtbfs != nil {
-		return sim.FaultSweepJobName(g.mtbfs, g.numBlocks, i)
-	}
-	return fmt.Sprintf("block%d", i)
-}
-
-// job builds job i — the same Name, Stream and payload function as the
-// corresponding simulate job.
-func (g sweepGrid) job(i int) engine.Job {
-	ri, b := i/g.numBlocks, i%g.numBlocks
-	return engine.Job{
-		Name:   g.jobName(i),
-		Stream: uint64(b),
-		Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-			data, err := sim.CampaignBlockPayload(ctx, g.cfgs[ri], g.trials, b, src)
-			return engine.JobResult{Payload: data}, err
-		},
-	}
+	}, grid, *seed, fp)
 }
 
 // buildCampaign assembles the campaign exactly as simulate's campaign
@@ -292,8 +247,9 @@ type coordinatorOpts struct {
 // runCoordinator serves the ledger until the run resolves, then prints
 // the merged aggregate (complete runs) or the partial verdict.
 func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
-	grid sweepGrid, numJobs int, seed, fp uint64) error {
+	grid *sim.SweepGrid, seed, fp uint64) error {
 
+	numJobs := grid.NumJobs()
 	reg := obs.NewRegistry()
 	progress := obs.NewProgress(os.Stderr, "jobs", int64(numJobs), time.Second)
 	co, err := distrun.NewCoordinator(distrun.CoordinatorConfig{
@@ -301,8 +257,8 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 		Seed:        seed,
 		Fingerprint: fp,
 		Checkpoint:  opts.checkpoint,
-		Check:       func(_ int, data []byte) error { return sim.CheckCampaignPayload(data) },
-		JobName:     grid.jobName,
+		Check:       grid.Check,
+		JobName:     grid.JobName,
 		JobAttempts: opts.jobAttempts,
 		KeepGoing:   opts.keepGoing,
 		LeaseTTL:    opts.leaseTTL,
@@ -327,7 +283,7 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 		return err
 	}
 	defer srv.Shutdown(2 * time.Second)
-	fmt.Fprintf(out, "distrun: coordinating %d jobs (%d trials) on %s\n", numJobs, grid.trials, srv.Addr())
+	fmt.Fprintf(out, "distrun: coordinating %d jobs (%d trials) on %s\n", numJobs, grid.Trials, srv.Addr())
 	if opts.addrFile != "" {
 		if werr := reskit.WriteFileAtomic(opts.addrFile, []byte(srv.Addr().String()+"\n"), 0o644); werr != nil {
 			return werr
@@ -357,12 +313,12 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 	st := co.Stats()
 	if res.Done() == numJobs {
 		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		if grid.mtbfs != nil {
+		if grid.MTBFs != nil {
 			// The same per-row trade-off table simulate's -faultsweep
 			// prints, merged row by row from the row-major payload grid.
 			fmt.Fprintf(tw, "MTBF\tE(lost)\tE(util)\tE(res)\tE(crashes)\tcompletion\n")
-			for ri, m := range grid.mtbfs {
-				agg, merr := sim.MergeCampaignPayloads(res.Payloads[ri*grid.numBlocks : (ri+1)*grid.numBlocks])
+			for ri, m := range grid.MTBFs {
+				agg, merr := sim.MergeCampaignPayloads(grid.Row(res.Payloads, ri))
 				if merr != nil {
 					return merr
 				}
@@ -417,16 +373,16 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 
 // runWorker joins the coordinator at url and executes leases until the
 // run is over.
-func runWorker(ctx context.Context, out io.Writer, url, name string, grid sweepGrid,
-	numJobs int, seed, fp uint64, failure engine.Failure, workers int) error {
+func runWorker(ctx context.Context, out io.Writer, url, name string, grid *sim.SweepGrid,
+	seed, fp uint64, failure engine.Failure, workers int) error {
 
 	err := distrun.RunWorker(ctx, distrun.WorkerConfig{
 		URL:         url,
 		Name:        name,
-		NumJobs:     numJobs,
+		NumJobs:     grid.NumJobs(),
 		Seed:        seed,
 		Fingerprint: fp,
-		Job:         grid.job,
+		Job:         grid.Job,
 		Failure:     failure,
 		Workers:     workers,
 		Log:         out,

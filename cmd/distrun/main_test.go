@@ -85,13 +85,8 @@ func waitCoordinator(t *testing.T, coErr <-chan error, coOut *bytes.Buffer) {
 // engine, exactly as simulate's campaign mode would.
 func localAggregate(t *testing.T) sim.CampaignAggregate {
 	t.Helper()
-	n := sim.NumCampaignBlocks(testTrials)
-	grid := sweepGrid{cfgs: []reskit.CampaignConfig{testCampaign(t)}, trials: testTrials, numBlocks: n}
-	jobs := make([]engine.Job, n)
-	for i := range jobs {
-		jobs[i] = grid.job(i)
-	}
-	res, err := engine.Run(context.Background(), engine.Spec{Jobs: jobs, Seed: 7})
+	grid := sim.CampaignGrid(testCampaign(t), testTrials)
+	res, err := engine.Run(context.Background(), engine.Spec{Jobs: grid.Jobs(), Seed: 7})
 	if err != nil {
 		t.Fatalf("local reference: %v", err)
 	}
@@ -177,17 +172,11 @@ func TestDistrunFaultSweepMatchesSimulate(t *testing.T) {
 
 	// Local reference: the identical grid simulate's runFaultSweep lays
 	// out, run through the in-process engine.
-	mtbfs, cfgs, err := sim.FaultSweepConfigs(testCampaign(t), "30,60")
+	grid, err := sim.FaultSweepGrid(testCampaign(t), "30,60", testTrials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := sim.NumCampaignBlocks(testTrials)
-	grid := sweepGrid{cfgs: cfgs, mtbfs: mtbfs, trials: testTrials, numBlocks: n}
-	jobs := make([]engine.Job, len(cfgs)*n)
-	for i := range jobs {
-		jobs[i] = grid.job(i)
-	}
-	res, err := engine.Run(context.Background(), engine.Spec{Jobs: jobs, Seed: 7})
+	res, err := engine.Run(context.Background(), engine.Spec{Jobs: grid.Jobs(), Seed: 7})
 	if err != nil {
 		t.Fatalf("local reference: %v", err)
 	}
@@ -195,8 +184,8 @@ func TestDistrunFaultSweepMatchesSimulate(t *testing.T) {
 	if !strings.Contains(out, "MTBF") {
 		t.Fatalf("coordinator output lacks the sweep table:\n%s", out)
 	}
-	for ri, m := range mtbfs {
-		agg, merr := sim.MergeCampaignPayloads(res.Payloads[ri*n : (ri+1)*n])
+	for ri, m := range grid.MTBFs {
+		agg, merr := sim.MergeCampaignPayloads(grid.Row(res.Payloads, ri))
 		if merr != nil {
 			t.Fatalf("local merge row %d: %v", ri, merr)
 		}
@@ -271,14 +260,13 @@ func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
 func TestDistrunRefusesPreEpochWorker(t *testing.T) {
 	url, coErr, coOut := startCoordinator(t, campaignArgs...)
 
-	n := sim.NumCampaignBlocks(testTrials)
-	grid := sweepGrid{cfgs: []reskit.CampaignConfig{testCampaign(t)}, trials: testTrials, numBlocks: n}
+	grid := sim.CampaignGrid(testCampaign(t), testTrials)
 	stale := ckpt.Fingerprint(
 		"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
 		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7",
 	)
 	err := distrun.RunWorker(context.Background(), distrun.WorkerConfig{
-		URL: url, Name: "stale", NumJobs: n, Seed: 7, Fingerprint: stale, Job: grid.job,
+		URL: url, Name: "stale", NumJobs: grid.NumJobs(), Seed: 7, Fingerprint: stale, Job: grid.Job,
 	})
 	var serr *httpd.StatusError
 	if !errors.As(err, &serr) || serr.Status != 409 || !strings.Contains(serr.Message, "fingerprint") {

@@ -13,7 +13,6 @@ import (
 	"reskit/internal/benchkit"
 	"reskit/internal/engine"
 	"reskit/internal/lawspec"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -65,30 +64,6 @@ func (c ckptOpts) spec(jobs []engine.Job, seed uint64, workers int, out io.Write
 	}
 	return sp
 }
-
-// campaignJobs lays out one campaign Monte-Carlo as its engine job grid:
-// one job per block, block b on rng substream b, exactly the sharding of
-// the in-process campaign runners — so merged payloads are bit-identical
-// to an uninterrupted MonteCarloCampaign for any worker count.
-func campaignJobs(cfg reskit.CampaignConfig, trials int) []engine.Job {
-	jobs := make([]engine.Job, sim.NumCampaignBlocks(trials))
-	for b := range jobs {
-		b := b
-		jobs[b] = engine.Job{
-			Name:   fmt.Sprintf("block%d", b),
-			Stream: uint64(b),
-			Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-				data, err := sim.CampaignBlockPayload(ctx, cfg, trials, b, src)
-				return engine.JobResult{Payload: data}, err
-			},
-		}
-	}
-	return jobs
-}
-
-// checkCampaignPayload adapts the payload validator to the engine's
-// restore hook.
-func checkCampaignPayload(_ int, data []byte) error { return sim.CheckCampaignPayload(data) }
 
 // campaignBase assembles the campaign configuration every campaign
 // flavor (fixed grid, fault sweep, stream) shares: law parsing, the
@@ -166,7 +141,8 @@ func runCampaignMode(ctx context.Context, out io.Writer, r, recovery, totalWork 
 	}
 
 	start := time.Now()
-	res, runErr := engine.Run(ctx, ckOpts.spec(campaignJobs(cfg, trials), seed, workers, out, ob, checkCampaignPayload))
+	grid := sim.CampaignGrid(cfg, trials)
+	res, runErr := engine.Run(ctx, ckOpts.spec(grid.Jobs(), seed, workers, out, ob, grid.Check))
 	elapsed := time.Since(start)
 	// A restore error (malformed block payload) or a job out of retry
 	// budget is a real failure, not an interruption: surface it instead
@@ -213,30 +189,14 @@ func runFaultSweep(ctx context.Context, out io.Writer, cfg reskit.CampaignConfig
 	trials int, seed uint64, workers int, benchJSON string, ckOpts ckptOpts, ob *simObs) error {
 
 	// The per-row configs (base campaign with the crash model swapped)
-	// come from the sweep layer shared with cmd/distrun, so a distributed
-	// sweep computes the identical payload functions.
-	mtbfs, cfgs, err := sim.FaultSweepConfigs(cfg, sweep)
+	// and the job layout come from the sweep grid shared with
+	// cmd/distrun, so a distributed sweep runs the identical jobs.
+	grid, err := sim.FaultSweepGrid(cfg, sweep, trials)
 	if err != nil {
 		return fmt.Errorf("-faultsweep: %w", err)
 	}
 
-	numBlocks := sim.NumCampaignBlocks(trials)
-	jobs := make([]engine.Job, 0, len(mtbfs)*numBlocks)
-	for ri := range cfgs {
-		for b := 0; b < numBlocks; b++ {
-			ri, b := ri, b
-			jobs = append(jobs, engine.Job{
-				Name:   sim.FaultSweepJobName(mtbfs, numBlocks, ri*numBlocks+b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.CampaignBlockPayload(ctx, cfgs[ri], trials, b, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
-	}
-
-	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, checkCampaignPayload))
+	res, runErr := engine.Run(ctx, ckOpts.spec(grid.Jobs(), seed, workers, out, ob, grid.Check))
 	if err := hardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
@@ -249,12 +209,12 @@ func runFaultSweep(ctx context.Context, out io.Writer, cfg reskit.CampaignConfig
 		Crashes        float64 `json:"mean_crashes"`
 		CompletionRate float64 `json:"completion_rate"`
 	}
-	rows := make([]sweepRow, 0, len(mtbfs))
+	rows := make([]sweepRow, 0, len(grid.MTBFs))
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "MTBF\tE(lost)\tE(util)\tE(res)\tE(crashes)\tcompletion\n")
-	for ri, m := range mtbfs {
-		agg, err := sim.MergeCampaignPayloads(res.Payloads[ri*numBlocks : (ri+1)*numBlocks])
+	for ri, m := range grid.MTBFs {
+		agg, err := sim.MergeCampaignPayloads(grid.Row(res.Payloads, ri))
 		if err != nil {
 			return err
 		}
@@ -353,7 +313,7 @@ func engineMetrics(ob *simObs) map[string]float64 {
 func writeCampaignBench(ctx context.Context, out io.Writer, cfg reskit.CampaignConfig, trials int, seed uint64,
 	path string, _ ckptOpts, ob *simObs) error {
 
-	jobs := campaignJobs(cfg, trials)
+	jobs := sim.CampaignGrid(cfg, trials).Jobs()
 
 	// Warm-up builds the dynamic strategy's coefficient table outside the
 	// timed region so every cell measures pure simulation throughput.

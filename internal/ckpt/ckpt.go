@@ -1,17 +1,18 @@
-// Package ckpt makes long Monte-Carlo runs durable: it applies the
-// paper's own medicine — periodic checkpointing — to the simulator
-// itself. A sharded Monte-Carlo run is a set of fixed-size trial blocks,
-// each bound to its own rng substream, so a *completed block* is a
-// deterministic, resumable unit: persisting the encoded partial
-// aggregate of every finished block is enough to restart an interrupted
-// run and re-execute only the missing blocks, with a final aggregate
-// bit-identical to an uninterrupted run for any worker count.
+// Package ckpt makes long runs of the job engine (internal/engine)
+// durable: it applies the paper's own medicine — periodic checkpointing
+// — to the simulator itself. An engine job is deterministic in (config,
+// seed, rng substream), so a *completed job* is a resumable unit:
+// persisting the payload of every finished job (KindJobs) is enough to
+// restart an interrupted run and re-execute only the missing jobs, and a
+// streaming run persists its ordered commit frontier plus the sink
+// state at it (KindStream). Either way the final result is bit-identical
+// to an uninterrupted run for any worker count.
 //
 // The on-disk snapshot is a single small binary file (see State.Encode
 // for the exact layout) carrying a magic number, a format version, a
 // CRC32 of the payload, the configuration fingerprint, the seed and
-// trial/block geometry, and the per-block payloads. Every write goes
-// through internal/atomicio (write-temp-fsync-rename), so a crash while
+// job geometry, and the per-job payloads. Every write goes through
+// internal/atomicio (write-temp-fsync-rename), so a crash while
 // snapshotting can never leave a truncated file — the previous snapshot
 // survives. Every load verifies the CRC, the version, and (via
 // State.Check) the fingerprint and geometry, returning structured errors
@@ -31,26 +32,22 @@ import (
 	"reskit/internal/atomicio"
 )
 
-// Kind distinguishes the sharded run shapes: the payload encodings
-// differ, so resuming a run of one kind with a snapshot of another is a
-// config mismatch.
+// Kind distinguishes the run shapes: the payload layouts differ, so
+// resuming a run of one kind with a snapshot of another is a config
+// mismatch.
 type Kind uint8
 
-// Snapshot kinds.
+// Snapshot kinds. Kinds 1 and 2 belonged to the retired sharded
+// Monte-Carlo runners; their numbers are not reused, and Decode refuses
+// such snapshots with ErrVersion.
 const (
-	KindMonteCarlo Kind = 1 // per-reservation Monte-Carlo (sim.MonteCarlo*)
-	KindCampaign   Kind = 2 // multi-reservation campaign (sim.MonteCarloCampaign*)
-	KindJobs       Kind = 3 // grid of engine jobs (internal/engine), one payload per job
-	KindStream     Kind = 4 // open-ended stream of engine jobs: frontier + sink state
+	KindJobs   Kind = 3 // grid of engine jobs (internal/engine), one payload per job
+	KindStream Kind = 4 // open-ended stream of engine jobs: frontier + sink state
 )
 
 // String returns the kind name.
 func (k Kind) String() string {
 	switch k {
-	case KindMonteCarlo:
-		return "montecarlo"
-	case KindCampaign:
-		return "campaign"
 	case KindJobs:
 		return "jobs"
 	case KindStream:
@@ -87,10 +84,11 @@ var (
 	ErrMismatch = errors.New("ckpt: snapshot does not match this run")
 )
 
-// State is the durable image of a sharded Monte-Carlo run: which blocks
-// have completed, and the encoded partial aggregate of each. It is not
-// safe for concurrent use; Writer provides the synchronized, throttled
-// layer the simulation workers talk to.
+// State is the durable image of an engine run: for KindJobs, which jobs
+// (blocks of size 1) have completed and the payload of each; for
+// KindStream, the commit frontier and the sink state at it (see
+// NewStream). It is not safe for concurrent use; Writer provides the
+// synchronized, throttled layer the engine talks to.
 type State struct {
 	Kind        Kind
 	Fingerprint uint64 // caller-computed hash of the run configuration
@@ -98,7 +96,7 @@ type State struct {
 	Trials      int64
 	BlockSize   int64
 	NumBlocks   int64
-	Blocks      map[int][]byte // completed block index -> encoded partial aggregate
+	Blocks      map[int][]byte // completed job index -> payload
 }
 
 // New returns an empty run state with the geometry derived from trials
@@ -201,8 +199,8 @@ func (s *State) Check(kind Kind, fingerprint, seed uint64, trials, blockSize int
 // five geometry fields.
 const headerSize = 4 + 4 + 4 + 1 + 5*8
 
-// maxPayload bounds one block's encoded partial aggregate. Real payloads
-// are a few hundred bytes; the bound keeps a corrupt length field from
+// maxPayload bounds one job's payload. Real payloads are a few hundred
+// bytes; the bound keeps a corrupt length field from
 // driving a huge allocation before the CRC check would catch it.
 const maxPayload = 1 << 20
 
@@ -255,7 +253,8 @@ func (s *State) Encode() []byte {
 // Decode parses and validates a snapshot image. Corrupt, truncated or
 // version-skewed inputs return structured errors (wrapping ErrNotSnapshot,
 // ErrVersion or ErrCorrupt) — never a panic, and a CRC mismatch is never
-// accepted.
+// accepted. A snapshot of a retired kind is version skew: it wraps
+// ErrVersion.
 func Decode(data []byte) (*State, error) {
 	if len(data) < headerSize+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrNotSnapshot, len(data), headerSize+4)
@@ -279,7 +278,11 @@ func Decode(data []byte) (*State, error) {
 		BlockSize:   int64(binary.LittleEndian.Uint64(data[37:45])),
 		NumBlocks:   int64(binary.LittleEndian.Uint64(data[45:53])),
 	}
-	if s.Kind != KindMonteCarlo && s.Kind != KindCampaign && s.Kind != KindJobs && s.Kind != KindStream {
+	switch s.Kind {
+	case KindJobs, KindStream:
+	case 1, 2:
+		return nil, fmt.Errorf("%w: kind %d snapshots come from the retired sharded Monte-Carlo runners (MonteCarloCheckpointed, MonteCarloCampaignCheckpointed); rerun through the engine", ErrVersion, uint8(s.Kind))
+	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, uint8(s.Kind))
 	}
 	if s.Trials <= 0 || s.BlockSize <= 0 || s.NumBlocks <= 0 {

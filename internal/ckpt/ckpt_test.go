@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +14,7 @@ import (
 )
 
 func sampleState() *State {
-	s := New(KindCampaign, 0xfeedface, 42, 1000, 32)
+	s := New(KindJobs, 0xfeedface, 42, 1000, 32)
 	s.Blocks[0] = []byte("block-zero-partial")
 	s.Blocks[3] = []byte("block-three-partial")
 	s.Blocks[17] = []byte{0, 1, 2, 3, 255}
@@ -41,8 +43,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeIsCanonical(t *testing.T) {
 	// Same completed blocks, different insertion order -> same bytes.
-	a := New(KindMonteCarlo, 1, 2, 10000, 2048)
-	b := New(KindMonteCarlo, 1, 2, 10000, 2048)
+	a := New(KindJobs, 1, 2, 10000, 2048)
+	b := New(KindJobs, 1, 2, 10000, 2048)
 	a.Blocks[0], a.Blocks[2], a.Blocks[4] = []byte("x"), []byte("y"), []byte("z")
 	b.Blocks[4], b.Blocks[0], b.Blocks[2] = []byte("z"), []byte("x"), []byte("y")
 	if !bytes.Equal(a.Encode(), b.Encode()) {
@@ -65,6 +67,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"flipped header bit", func(d []byte) []byte { d[13] ^= 0x80; return d }, ErrCorrupt},
 		{"truncated tail", func(d []byte) []byte { return d[:len(d)-3] }, ErrCorrupt},
 		{"trailing garbage", func(d []byte) []byte { return append(d, 0xab) }, ErrCorrupt},
+		// Kinds 1 and 2 (the retired sharded runners' snapshots) are
+		// version skew, any other unknown kind is corruption — even
+		// under a valid CRC.
+		{"retired kind 1", withKind(1), ErrVersion},
+		{"retired kind 2", withKind(2), ErrVersion},
+		{"unknown kind 5", withKind(5), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		d := append([]byte(nil), good...)
@@ -76,6 +84,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: error %v does not wrap %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// withKind rewrites a snapshot image's kind byte and re-seals the CRC.
+func withKind(k Kind) func([]byte) []byte {
+	return func(d []byte) []byte {
+		d[12] = byte(k)
+		binary.LittleEndian.PutUint32(d[8:12], crc32.ChecksumIEEE(d[12:]))
+		return d
 	}
 }
 
@@ -97,19 +114,19 @@ func TestDecodeRejectsCRCMaskedInconsistency(t *testing.T) {
 }
 
 func TestCheckMismatches(t *testing.T) {
-	s := New(KindCampaign, 10, 20, 1000, 32)
-	if err := s.Check(KindCampaign, 10, 20, 1000, 32); err != nil {
+	s := New(KindJobs, 10, 20, 1000, 32)
+	if err := s.Check(KindJobs, 10, 20, 1000, 32); err != nil {
 		t.Fatalf("matching state rejected: %v", err)
 	}
 	cases := []struct {
 		name string
 		err  error
 	}{
-		{"kind", s.Check(KindMonteCarlo, 10, 20, 1000, 32)},
-		{"fingerprint", s.Check(KindCampaign, 11, 20, 1000, 32)},
-		{"seed", s.Check(KindCampaign, 10, 21, 1000, 32)},
-		{"trials", s.Check(KindCampaign, 10, 20, 999, 32)},
-		{"blocksize", s.Check(KindCampaign, 10, 20, 1000, 64)},
+		{"kind", s.Check(KindStream, 10, 20, 1000, 32)},
+		{"fingerprint", s.Check(KindJobs, 11, 20, 1000, 32)},
+		{"seed", s.Check(KindJobs, 10, 21, 1000, 32)},
+		{"trials", s.Check(KindJobs, 10, 20, 999, 32)},
+		{"blocksize", s.Check(KindJobs, 10, 20, 1000, 64)},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrMismatch) {
@@ -150,7 +167,7 @@ func TestFingerprint(t *testing.T) {
 
 func TestWriterThrottlesAndFlushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := NewWriter(path, time.Minute, New(KindMonteCarlo, 1, 2, 4096, 2048))
+	w := NewWriter(path, time.Minute, New(KindJobs, 1, 2, 4096, 2048))
 	clock := time.Unix(1000, 0)
 	w.now = func() time.Time { return clock }
 	w.last = clock // pretend a snapshot just happened: writes are throttled
@@ -180,7 +197,7 @@ func TestWriterThrottlesAndFlushes(t *testing.T) {
 
 func TestWriterFinalFlushWritesPendingState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := NewWriter(path, time.Hour, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
 	w.Commit(1, []byte("pending"))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -197,7 +214,7 @@ func TestWriterFinalFlushWritesPendingState(t *testing.T) {
 func TestWriterInstruments(t *testing.T) {
 	reg := obs.NewRegistry()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := NewWriter(path, time.Hour, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
 	w.Instrument(reg)
 	w.Commit(0, []byte("a"))
 	w.Commit(1, []byte("b"))
@@ -219,7 +236,7 @@ func TestWriterInstruments(t *testing.T) {
 func TestWriterSurfacesDiskErrors(t *testing.T) {
 	// Unwritable destination directory: Commit must not panic or block
 	// the run; Flush reports the failure.
-	w := NewWriter(filepath.Join(t.TempDir(), "no", "dir", "run.ckpt"), 0, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(filepath.Join(t.TempDir(), "no", "dir", "run.ckpt"), 0, New(KindJobs, 1, 2, 64, 32))
 	w.last = time.Time{} // interval elapsed immediately
 	w.Commit(0, []byte("a"))
 	if err := w.Flush(); err == nil {

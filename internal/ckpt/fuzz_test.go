@@ -13,20 +13,20 @@ import (
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed with valid images of both kinds, plus targeted mutants, so
 	// coverage starts beyond the magic/version gate.
-	mc := New(KindMonteCarlo, 0xabad1dea, 7, 100000, 2048)
-	mc.Blocks[0] = bytes.Repeat([]byte{0x42}, 312)
-	mc.Blocks[5] = bytes.Repeat([]byte{0x17}, 312)
-	f.Add(mc.Encode())
+	jobs := New(KindJobs, 0xabad1dea, 7, 100000, 2048)
+	jobs.Blocks[0] = bytes.Repeat([]byte{0x42}, 312)
+	jobs.Blocks[5] = bytes.Repeat([]byte{0x17}, 312)
+	f.Add(jobs.Encode())
 
-	camp := New(KindCampaign, 0xfeedface, 42, 1000, 32)
-	camp.Blocks[3] = []byte("partial")
-	f.Add(camp.Encode())
-	f.Add(New(KindCampaign, 0, 0, 1, 1).Encode())
+	stream := NewStream(0xfeedface, 42)
+	stream.SetStream(1000, []byte("sink state"))
+	f.Add(stream.Encode())
+	f.Add(New(KindJobs, 0, 0, 1, 1).Encode())
 
-	flipped := camp.Encode()
+	flipped := stream.Encode()
 	flipped[len(flipped)-1] ^= 0x80
 	f.Add(flipped)
-	truncated := mc.Encode()
+	truncated := jobs.Encode()
 	f.Add(truncated[:len(truncated)/2])
 	f.Add([]byte("RKCP"))
 	f.Add([]byte{})

@@ -48,9 +48,9 @@ func TestStreamStateRoundTrip(t *testing.T) {
 // TestFrontierOtherKinds: Frontier is meaningful only for stream
 // snapshots; any other kind reports 0 regardless of its trial count.
 func TestFrontierOtherKinds(t *testing.T) {
-	s := New(KindCampaign, 1, 2, 4096, 32)
+	s := New(KindJobs, 1, 2, 4096, 32)
 	if s.Frontier() != 0 {
-		t.Errorf("campaign snapshot frontier = %d, want 0", s.Frontier())
+		t.Errorf("jobs snapshot frontier = %d, want 0", s.Frontier())
 	}
 }
 
@@ -67,7 +67,7 @@ func TestCheckStreamMismatches(t *testing.T) {
 		s    *State
 		want error
 	}{
-		{"wrong kind", New(KindCampaign, 0xfeed, 7, 10, 1), ErrMismatch},
+		{"wrong kind", New(KindJobs, 0xfeed, 7, 10, 1), ErrMismatch},
 		{"wrong fingerprint", func() *State { s := good(); s.Fingerprint = 0xdead; return s }(), ErrMismatch},
 		{"wrong seed", func() *State { s := good(); s.Seed = 8; return s }(), ErrMismatch},
 		{"zero frontier", NewStream(0xfeed, 7), ErrCorrupt},

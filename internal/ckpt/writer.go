@@ -17,10 +17,10 @@ import (
 // path when the head snapshot is unusable.
 func PrevGeneration(path string) string { return path + ".1" }
 
-// Writer is the durable checkpoint hook handed to the sharded
-// Monte-Carlo runners (it satisfies sim.Checkpointer): workers call
-// Commit as blocks complete, and the writer folds each payload into the
-// run State, snapshotting the whole state to disk at most once per
+// Writer is the durable checkpoint layer of the engine: engine.Run (and
+// the distrun coordinator) call Commit as jobs complete, RunStream calls
+// CommitStream as its frontier advances, and the writer folds each into
+// the run State, snapshotting the whole state to disk at most once per
 // interval — the Young/Daly trade-off in miniature: frequent snapshots
 // bound the re-computation lost to a crash, sparse ones bound the I/O
 // overhead. Flush forces a final snapshot (interruption, normal exit).
@@ -89,18 +89,16 @@ func (w *Writer) LogTo(out io.Writer) {
 	w.log = out
 }
 
-// Restore returns the encoded partial aggregate of block b from the
-// loaded snapshot, or nil when the block must be (re)computed. It
-// implements the resume half of sim.Checkpointer.
+// Restore returns the payload of job b from the loaded snapshot, or nil
+// when the job must be (re)computed.
 func (w *Writer) Restore(b int) []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state.Blocks[b]
 }
 
-// Commit records the encoded partial aggregate of a freshly completed
-// block and snapshots the state to disk when the interval has elapsed.
-// It implements the commit half of sim.Checkpointer.
+// Commit records the payload of a freshly completed job and snapshots
+// the state to disk when the interval has elapsed.
 func (w *Writer) Commit(b int, payload []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -33,7 +33,7 @@ func (f *flakyInjector) Fault(op atomicio.Op, path string, n int) (int, error) {
 
 func TestWriterRotatesGenerations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := NewWriter(path, time.Hour, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
 
 	w.Commit(0, []byte("a"))
 	if err := w.Flush(); err != nil {
@@ -75,7 +75,7 @@ func TestWriterDirtyRetryAfterWriteFailure(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var log bytes.Buffer
-	w := NewWriter(path, 0, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, 0, New(KindJobs, 1, 2, 64, 32))
 	w.last = time.Time{} // interval elapsed: every Commit attempts a write
 	w.Instrument(reg)
 	w.LogTo(&log)
@@ -127,7 +127,7 @@ func TestWriterFlushReportsStaleStateWhileDiskDead(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 	atomicio.SetInjector(&flakyInjector{prefix: dir, failures: 1 << 30})
 
-	w := NewWriter(path, time.Hour, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
 	w.Commit(0, []byte("a"))
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush must fail while the state cannot reach disk")
@@ -144,7 +144,7 @@ func TestWriterFailedWriteFallsBackToRotatedGeneration(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 
-	w := NewWriter(path, 0, New(KindCampaign, 1, 2, 64, 32))
+	w := NewWriter(path, 0, New(KindJobs, 1, 2, 64, 32))
 	w.last = time.Time{}
 	w.Commit(0, []byte("good"))
 	if err := w.Flush(); err != nil {

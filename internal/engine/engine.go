@@ -1,15 +1,16 @@
 // Package engine is the single execution path shared by every
-// experiment mode of the toolchain: a run is a list of deterministic
-// Jobs (one Monte-Carlo block, one sweep cell, one figure), and the
-// engine owns everything around them — worker sharding, per-job rng
-// substreams, cooperative cancellation with a graceful drain, durable
-// snapshot/restore at job granularity (internal/ckpt), atomic artifact
-// writing (internal/atomicio), and obs instrumentation.
+// experiment mode of the toolchain and by the library's Monte-Carlo
+// calls: a run is a list of deterministic Jobs (one Monte-Carlo block,
+// one sweep cell, one figure), and the engine owns everything around
+// them — worker sharding, per-job rng substreams, cooperative
+// cancellation with a graceful drain, durable snapshot/restore at job
+// granularity (internal/ckpt), atomic artifact writing
+// (internal/atomicio), and obs instrumentation.
 //
-// The determinism contract mirrors the sharded Monte-Carlo runners the
-// engine generalizes: a Job must depend only on the spec configuration
-// and the rng substream it is handed, so its payload bytes are a pure
-// function of (config, seed, stream). Payloads are merged by the caller
+// The determinism contract is that of fixed-block Monte-Carlo: a Job
+// must depend only on the spec configuration and the rng substream it
+// is handed, so its payload bytes are a pure function of (config, seed,
+// stream). Payloads are merged by the caller
 // in job order, which makes the final result bit-identical for any
 // worker count — and makes a completed job a resumable unit: restoring
 // committed payloads from a snapshot and recomputing only the missing

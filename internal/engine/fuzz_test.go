@@ -35,7 +35,7 @@ func FuzzResumeSnapshot(f *testing.F) {
 	forged := ckpt.New(ckpt.KindJobs, 7, 42, n, 1)
 	forged.Blocks[1] = []byte("wrong size payload")
 	f.Add(forged.Encode())
-	wrongKind := ckpt.New(ckpt.KindCampaign, 7, 42, n, 1)
+	wrongKind := ckpt.New(ckpt.KindStream, 7, 42, n, 1)
 	f.Add(wrongKind.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {

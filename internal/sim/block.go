@@ -4,21 +4,26 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"reskit/internal/core"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
 )
 
-// Block-granular access to the sharded Monte-Carlo runners, shaped for
-// the job engine (internal/engine): a run of `trials` trials is a fixed
-// grid of blocks, block b always simulates trials [b*blockSize, ...)
-// on rng substream b, and each *BlockPayload function runs exactly one
-// block on a caller-provided source, returning the block's partial
+// Monte-Carlo blocks as engine jobs. A run of `trials` trials is a fixed
+// grid of blocks: block b always simulates trials [b*blockSize, ...) on
+// rng substream b. The MonteCarlo* calls drain that grid through
+// engine.RunStream and merge typed partials in memory (runBlocks);
+// callers that need durable or distributed runs build one engine job
+// per block instead, where each *BlockPayload function runs exactly one
+// block on a caller-provided source and returns the block's partial
 // aggregate as bit-exact opaque bytes. Merging payloads in block order
 // (Merge*Payloads) reproduces the corresponding MonteCarlo* aggregate
 // bit-identically — for any schedule, any worker count, and any mix of
-// restored and recomputed blocks.
+// restored and recomputed blocks. A block is the unit of durability:
+// engine.Run snapshots the payload of every completed block
+// (ckpt.KindJobs), and a resume re-runs only the missing ones.
 
 // NumMonteCarloBlocks returns the block-grid size of the
 // per-reservation runners (MonteCarlo*, MonteCarloPreemptible*).
@@ -57,7 +62,6 @@ func MonteCarloBlockPayload(ctx context.Context, cfg Config, trials, block int, 
 	if !complete {
 		return nil, interruptErr(ctx)
 	}
-	cfg.Obs.tickBlock()
 	return encodeAggregate(&agg), nil
 }
 
@@ -99,7 +103,6 @@ func CampaignBlockPayload(ctx context.Context, cfg CampaignConfig, trials, block
 	if !complete {
 		return nil, interruptErr(ctx)
 	}
-	cfg.Reservation.Obs.tickBlock()
 	return encodeCampaignPartial(&p), nil
 }
 
@@ -117,12 +120,7 @@ func MergeCampaignPayloads(payloads [][]byte) (CampaignAggregate, error) {
 		}
 		sum.add(p)
 	}
-	var agg CampaignAggregate
-	agg.Trials = sum.trials
-	if sum.trials > 0 {
-		finalizeCampaignAggregate(&agg, &sum)
-	}
-	return agg, nil
+	return sum.aggregate(), nil
 }
 
 // CheckCampaignPayload reports whether data parses as a campaign block
@@ -160,9 +158,7 @@ func MergePreemptiblePayloads(payloads [][]byte) (PreemptibleAggregate, error) {
 		if err := decodePreemptPartial(data, &p); err != nil {
 			return PreemptibleAggregate{}, fmt.Errorf("sim: block %d: %w", b, err)
 		}
-		agg.Work.Merge(p.work)
-		agg.Successes += p.successes
-		agg.Trials += p.trials
+		agg.merge(&p)
 	}
 	return agg, nil
 }
@@ -172,6 +168,82 @@ func MergePreemptiblePayloads(payloads [][]byte) (PreemptibleAggregate, error) {
 func CheckPreemptiblePayload(data []byte) error {
 	var p preemptPartial
 	return decodePreemptPartial(data, &p)
+}
+
+// aggregateWireSize is the exact encoded size of an Aggregate: seven
+// summaries plus four int64 tallies.
+const aggregateWireSize = 7*stats.SummaryWireSize + 4*8
+
+// encodeAggregate serializes one block's aggregate bit-exactly (floats
+// as IEEE-754 bit patterns, little-endian).
+func encodeAggregate(a *Aggregate) []byte {
+	b := make([]byte, 0, aggregateWireSize)
+	b = a.Saved.AppendBinary(b)
+	b = a.Lost.AppendBinary(b)
+	b = a.Tasks.AppendBinary(b)
+	b = a.Checkpoints.AppendBinary(b)
+	b = a.Failures.AppendBinary(b)
+	b = a.CkptFaults.AppendBinary(b)
+	b = a.TimeUsed.AppendBinary(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.FailedRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.RevokedRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.ZeroRuns))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.Trials))
+	return b
+}
+
+// decodeAggregate restores one block's aggregate from its wire image.
+func decodeAggregate(data []byte, a *Aggregate) error {
+	if len(data) != aggregateWireSize {
+		return fmt.Errorf("sim: aggregate payload is %d bytes, want %d", len(data), aggregateWireSize)
+	}
+	off := 0
+	for _, s := range []*stats.Summary{
+		&a.Saved, &a.Lost, &a.Tasks, &a.Checkpoints, &a.Failures, &a.CkptFaults, &a.TimeUsed,
+	} {
+		if err := s.UnmarshalBinary(data[off : off+stats.SummaryWireSize]); err != nil {
+			return err
+		}
+		off += stats.SummaryWireSize
+	}
+	a.FailedRuns = int64(binary.LittleEndian.Uint64(data[off:]))
+	a.RevokedRuns = int64(binary.LittleEndian.Uint64(data[off+8:]))
+	a.ZeroRuns = int64(binary.LittleEndian.Uint64(data[off+16:]))
+	a.Trials = int64(binary.LittleEndian.Uint64(data[off+24:]))
+	return nil
+}
+
+// campaignPartialWireSize is the exact encoded size of a
+// campaignPartial: six float64 running sums plus two int64 counts.
+const campaignPartialWireSize = 6*8 + 2*8
+
+// encodeCampaignPartial serializes one block's campaign sums bit-exactly.
+func encodeCampaignPartial(p *campaignPartial) []byte {
+	b := make([]byte, 0, campaignPartialWireSize)
+	for _, v := range []float64{p.res, p.util, p.lost, p.ckptFaults, p.crashes, p.revoked} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.completed))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.trials))
+	return b
+}
+
+// decodeCampaignPartial restores one block's campaign sums.
+func decodeCampaignPartial(data []byte, p *campaignPartial) error {
+	if len(data) != campaignPartialWireSize {
+		return fmt.Errorf("sim: campaign payload is %d bytes, want %d", len(data), campaignPartialWireSize)
+	}
+	for i, f := range []*float64{&p.res, &p.util, &p.lost, &p.ckptFaults, &p.crashes, &p.revoked} {
+		*f = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	completed := int64(binary.LittleEndian.Uint64(data[48:]))
+	trials := int64(binary.LittleEndian.Uint64(data[56:]))
+	if completed < 0 || trials < 0 || completed > trials {
+		return fmt.Errorf("sim: campaign payload counts inconsistent (completed=%d, trials=%d)", completed, trials)
+	}
+	p.completed = int(completed)
+	p.trials = int(trials)
+	return nil
 }
 
 // preemptPartialWireSize is the exact encoded size of a preemptPartial:

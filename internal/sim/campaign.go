@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"reskit/internal/rng"
 )
@@ -155,8 +154,8 @@ type campaignPartial struct {
 	trials              int
 }
 
-// MonteCarloCampaign runs `trials` independent campaigns of cfg across
-// `workers` goroutines (Workers() when workers <= 0) and averages the
+// MonteCarloCampaign runs `trials` independent campaigns of cfg on
+// `workers` engine workers (Workers() when workers <= 0) and averages the
 // headline metrics. Trials are partitioned into fixed-size blocks, each
 // drawing from its own rng substream of seed, and block sums are reduced
 // in deterministic order — the aggregate depends only on (cfg, trials,
@@ -174,81 +173,18 @@ func MonteCarloCampaign(cfg CampaignConfig, trials int, seed uint64, workers int
 // the averages stay exact. Without cancellation the result is
 // bit-identical to MonteCarloCampaign and the error is nil.
 func MonteCarloCampaignContext(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int) (CampaignAggregate, error) {
-	return monteCarloCampaignRunner(ctx, cfg, trials, seed, workers, nil)
-}
-
-func monteCarloCampaignRunner(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int, ck Checkpointer) (CampaignAggregate, error) {
 	cfg.validate()
-	if trials <= 0 {
-		return CampaignAggregate{}, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-
-	numBlocks := (trials + campaignBlockSize - 1) / campaignBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	done := ctx.Done()
-	ob := cfg.Reservation.Obs
-	parts := make([]campaignPartial, numBlocks)
-	// Blocks persisted by a previous interrupted run are restored into
-	// parts and never dispatched; only the missing blocks are simulated.
-	restored, rerr := restoreBlocks(ck, numBlocks, func(b int, data []byte) error {
-		return decodeCampaignPartial(data, &parts[b])
+	parts := make([]campaignPartial, NumCampaignBlocks(trials))
+	err := runBlocks(ctx, len(parts), seed, workers, func(b int, src *rng.Source, done <-chan struct{}) bool {
+		var complete bool
+		parts[b], complete = runCampaignBlock(cfg, trials, b, src, done)
+		return complete
 	})
-	if rerr != nil {
-		return CampaignAggregate{}, rerr
-	}
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block — state
-			// identical to a fresh NewStream, with no per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				p, complete := runCampaignBlock(cfg, trials, b, &src, done)
-				parts[b] = p
-				// Interrupted blocks keep their partial sums in the
-				// returned aggregate but are never committed: a resume
-				// re-runs the whole block on its own rng substream.
-				if complete && ck != nil {
-					ck.Commit(b, encodeCampaignPartial(&p))
-				}
-				ob.tickBlock()
-			}
-		}()
-	}
-dispatch:
-	for b := 0; b < numBlocks; b++ {
-		if restored != nil && restored[b] {
-			continue
-		}
-		select {
-		case blocks <- b:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(blocks)
-	wg.Wait()
-
-	var agg CampaignAggregate
 	var sum campaignPartial
 	for _, p := range parts {
 		sum.add(p)
 	}
-	agg.Trials = sum.trials
-	if sum.trials > 0 {
-		finalizeCampaignAggregate(&agg, &sum)
-	}
-	return agg, ctx.Err()
+	return sum.aggregate(), err
 }
 
 // runCampaignBlock simulates the campaign trials of block b
@@ -256,7 +192,7 @@ dispatch:
 // sums. cfg is received by value, so the per-trial index stamp for
 // deterministic trace sampling never races other workers. complete is
 // false when done fired mid-campaign — such a block must never be
-// committed as durable state.
+// committed as durable state, nor counted as a completed block.
 func runCampaignBlock(cfg CampaignConfig, trials, b int, src *rng.Source, done <-chan struct{}) (p campaignPartial, complete bool) {
 	lo := b * campaignBlockSize
 	hi := lo + campaignBlockSize
@@ -287,6 +223,7 @@ func runCampaignBlock(cfg CampaignConfig, trials, b int, src *rng.Source, done <
 		}
 		p.trials++
 	}
+	ob.tickBlock()
 	return p, true
 }
 
@@ -302,16 +239,21 @@ func (p *campaignPartial) add(o campaignPartial) {
 	p.trials += o.trials
 }
 
-// finalizeCampaignAggregate turns summed block partials into the mean
-// aggregate; sum.trials must be positive.
-func finalizeCampaignAggregate(agg *CampaignAggregate, sum *campaignPartial) {
-	n := float64(sum.trials)
-	agg.Reservations = sum.res / n
-	agg.Utilization = sum.util / n
-	agg.LostWork = sum.lost / n
-	agg.CkptFaults = sum.ckptFaults / n
-	agg.Crashes = sum.crashes / n
-	agg.RevokedRes = sum.revoked / n
-	agg.CompletionRate = float64(sum.completed) / n
-	agg.CompletedAll = sum.completed == sum.trials
+// aggregate turns summed block partials into the mean aggregate; an
+// empty sum yields the zero aggregate.
+func (p *campaignPartial) aggregate() CampaignAggregate {
+	agg := CampaignAggregate{Trials: p.trials}
+	if p.trials == 0 {
+		return agg
+	}
+	n := float64(p.trials)
+	agg.Reservations = p.res / n
+	agg.Utilization = p.util / n
+	agg.LostWork = p.lost / n
+	agg.CkptFaults = p.ckptFaults / n
+	agg.Crashes = p.crashes / n
+	agg.RevokedRes = p.revoked / n
+	agg.CompletionRate = float64(p.completed) / n
+	agg.CompletedAll = p.completed == p.trials
+	return agg
 }

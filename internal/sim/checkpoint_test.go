@@ -2,168 +2,102 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
+	"reskit/internal/ckpt"
 	"reskit/internal/core"
+	"reskit/internal/dist"
+	"reskit/internal/engine"
+	"reskit/internal/rng"
 	"reskit/internal/strategy"
 )
 
-// memCkpt is an in-memory Checkpointer that optionally cancels the run
-// after a given number of block commits — simulating a kill at an
-// arbitrary block boundary.
-type memCkpt struct {
-	mu          sync.Mutex
-	blocks      map[int][]byte
-	commits     int
-	cancelAfter int
-	cancel      context.CancelFunc
-}
-
-func newMemCkpt() *memCkpt { return &memCkpt{blocks: make(map[int][]byte)} }
-
-func (m *memCkpt) Restore(b int) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.blocks[b]
-}
-
-func (m *memCkpt) Commit(b int, payload []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blocks[b] = append([]byte(nil), payload...)
-	m.commits++
-	if m.cancelAfter > 0 && m.commits == m.cancelAfter && m.cancel != nil {
-		m.cancel()
-	}
-}
-
-func (m *memCkpt) done() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blocks)
-}
-
-func ckptCampaignConfig() CampaignConfig {
-	dyn := core.NewDynamic(29, paperTask(), paperCkpt(5, 0.4))
-	return CampaignConfig{
-		Reservation: Config{
-			R:        29,
-			Recovery: 1.5,
-			Task:     paperTask(),
-			Ckpt:     paperCkpt(5, 0.4),
-			Strategy: strategy.NewDynamic(dyn),
-		},
-		TotalWork: 150,
-	}
-}
-
-// TestMonteCarloKillAndResumeBitIdentical is the acceptance property of
-// the checkpoint layer for the per-reservation runner: interrupt at an
-// arbitrary block boundary, resume from the persisted blocks, and the
-// final aggregate is bit-identical to an uninterrupted run — for any
-// worker count on either side of the interruption.
-func TestMonteCarloKillAndResumeBitIdentical(t *testing.T) {
-	cfg := fig8Config(strategy.NewStatic(4))
-	const trials = 5*mcBlockSize + 123 // 6 blocks, last one ragged
-	const seed = 11
-	want := MonteCarlo(cfg, trials, seed, 0)
-
-	for _, workers := range []int{1, 4, 8} {
-		for _, killAfter := range []int{1, 3, 5} {
-			ck := newMemCkpt()
-			ctx, cancel := context.WithCancel(context.Background())
-			ck.cancelAfter, ck.cancel = killAfter, cancel
-			_, err := MonteCarloCheckpointed(ctx, cfg, trials, seed, workers, ck)
-			cancel()
-			if err == nil && ck.done() < 6 {
-				t.Fatalf("workers=%d kill=%d: interrupted run reported no error with %d blocks", workers, killAfter, ck.done())
-			}
-			if ck.done() >= 6 {
-				// The whole run finished before the cancel landed; the
-				// resume below still must reproduce the reference.
-				t.Logf("workers=%d kill=%d: run completed before interruption", workers, killAfter)
-			}
-
-			for _, resumeWorkers := range []int{1, 4, 8} {
-				ck.cancelAfter = 0
-				got, err := MonteCarloCheckpointed(context.Background(), cfg, trials, seed, resumeWorkers, ck)
-				if err != nil {
-					t.Fatalf("resume: %v", err)
-				}
-				if got != want {
-					t.Errorf("workers=%d kill=%d resumeWorkers=%d: resumed aggregate differs:\n got %+v\nwant %+v",
-						workers, killAfter, resumeWorkers, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestCampaignKillAndResumeBitIdentical is the same acceptance property
-// for the campaign runner.
-func TestCampaignKillAndResumeBitIdentical(t *testing.T) {
-	cfg := ckptCampaignConfig()
-	const trials = 4*campaignBlockSize + 7 // 5 blocks, last one ragged
-	const seed = 23
-	want := MonteCarloCampaign(cfg, trials, seed, 0)
-
-	for _, workers := range []int{1, 4, 8} {
-		ck := newMemCkpt()
-		ctx, cancel := context.WithCancel(context.Background())
-		ck.cancelAfter, ck.cancel = 2, cancel
-		_, _ = MonteCarloCampaignCheckpointed(ctx, cfg, trials, seed, workers, ck)
-		cancel()
-
-		ck.cancelAfter = 0
-		got, err := MonteCarloCampaignCheckpointed(context.Background(), cfg, trials, seed, workers, ck)
-		if err != nil {
-			t.Fatalf("resume: %v", err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: resumed campaign aggregate differs:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-}
-
-// TestCheckpointedCompleteRunMatchesPlain checks the zero-interruption
-// path: running with a checkpointer from scratch commits every block and
-// changes nothing about the result.
-func TestCheckpointedCompleteRunMatchesPlain(t *testing.T) {
-	cfg := fig8Config(strategy.NewStatic(4))
-	const trials = 2*mcBlockSize + 10
-	ck := newMemCkpt()
-	got, err := MonteCarloCheckpointed(context.Background(), cfg, trials, 5, 0, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MonteCarlo(cfg, trials, 5, 0); got != want {
-		t.Errorf("checkpointed run differs from plain run:\n got %+v\nwant %+v", got, want)
-	}
-	if ck.done() != 3 {
-		t.Errorf("committed %d blocks, want 3", ck.done())
-	}
-}
-
-// TestRestoreRejectsMalformedPayload checks that a payload of the wrong
-// shape aborts the run with a structured error instead of panicking or
-// silently producing wrong numbers.
+// TestRestoreRejectsMalformedPayload checks every block validator on the
+// engine's restore path: a snapshot payload that passed the CRC but does
+// not parse as the job's block aggregate aborts engine.Run with an error
+// naming the job, before any block runs, instead of panicking or merging
+// wrong numbers.
 func TestRestoreRejectsMalformedPayload(t *testing.T) {
-	cfg := fig8Config(strategy.NewStatic(4))
-	ck := newMemCkpt()
-	ck.blocks[0] = []byte("not an aggregate")
-	_, err := MonteCarloCheckpointed(context.Background(), cfg, mcBlockSize*2, 5, 1, ck)
-	if err == nil || !strings.Contains(err.Error(), "block 0") {
-		t.Fatalf("malformed payload: err = %v, want block-0 decode error", err)
+	res := fig8Config(strategy.NewStatic(4))
+	camp := faultyCampaignConfig(nil)
+	pre := core.NewPreemptible(10, dist.NewUniform(1, 7.5))
+	cases := []struct {
+		name   string
+		trials int
+		block  func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error)
+		check  func([]byte) error
+		bad    []byte
+	}{
+		{"montecarlo/size", 2 * mcBlockSize,
+			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
+				return MonteCarloBlockPayload(ctx, res, trials, b, false, src)
+			},
+			CheckMonteCarloPayload, []byte("not an aggregate")},
+		{"campaign/size", 2 * campaignBlockSize,
+			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
+				return CampaignBlockPayload(ctx, camp, trials, b, src)
+			},
+			CheckCampaignPayload, make([]byte, campaignPartialWireSize-1)},
+		{"campaign/counts", 2 * campaignBlockSize,
+			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
+				return CampaignBlockPayload(ctx, camp, trials, b, src)
+			},
+			CheckCampaignPayload, encodeCampaignPartial(&campaignPartial{completed: 5, trials: 3})},
+		{"preemptible/size", 2 * mcBlockSize,
+			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
+				return PreemptibleBlockPayload(ctx, pre, 4, false, trials, b, src)
+			},
+			CheckPreemptiblePayload, make([]byte, preemptPartialWireSize+1)},
+		{"preemptible/counts", 2 * mcBlockSize,
+			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
+				return PreemptibleBlockPayload(ctx, pre, 4, false, trials, b, src)
+			},
+			CheckPreemptiblePayload, encodePreemptPartial(&preemptPartial{successes: 4, trials: 3})},
 	}
-
-	camp := ckptCampaignConfig()
-	ck2 := newMemCkpt()
-	ck2.blocks[1] = make([]byte, campaignPartialWireSize-1)
-	_, err = MonteCarloCampaignCheckpointed(context.Background(), camp, campaignBlockSize*2, 5, 1, ck2)
-	if err == nil || !strings.Contains(err.Error(), "block 1") {
-		t.Fatalf("malformed campaign payload: err = %v, want block-1 decode error", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed, fp = 5, 0xb10c
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			st := ckpt.New(ckpt.KindJobs, fp, seed, 2, 1)
+			st.Blocks[1] = tc.bad
+			if err := st.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			jobs := make([]engine.Job, 2)
+			for b := range jobs {
+				b := b
+				jobs[b] = engine.Job{
+					Name:   fmt.Sprintf("block%d", b),
+					Stream: uint64(b),
+					Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
+						data, err := tc.block(ctx, tc.trials, b, src)
+						return engine.JobResult{Payload: data}, err
+					},
+				}
+			}
+			run, err := engine.Run(context.Background(), engine.Spec{
+				Jobs: jobs, Seed: seed, Fingerprint: fp, Workers: 1,
+				Checkpoint: engine.Checkpoint{Path: path, Resume: true},
+				Check:      func(_ int, data []byte) error { return tc.check(data) },
+			})
+			if err == nil || !strings.Contains(err.Error(), "job 1 (block1)") {
+				t.Fatalf("err = %v, want a restore error naming job 1 (block1)", err)
+			}
+			if run.Fresh != 0 {
+				t.Errorf("%d blocks ran before the restore check", run.Fresh)
+			}
+			// The validator accepts the block's genuine payload.
+			good, err := tc.block(context.Background(), tc.trials, 1, rng.NewStream(seed, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.check(good); err != nil {
+				t.Errorf("genuine payload rejected: %v", err)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@ package sim
 import (
 	"context"
 	"runtime"
-	"sync"
 
+	"reskit/internal/engine"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
 )
@@ -74,14 +74,14 @@ func Workers() int {
 // stream b, and block aggregates are merged in block order.
 const mcBlockSize = 2048
 
-// MonteCarlo runs `trials` independent reservations of cfg across
-// `workers` goroutines (Workers() when workers <= 0) and merges the
-// results. Trials are partitioned into fixed-size blocks, each drawing
-// from its own rng substream of seed, and block results are reduced in
+// MonteCarlo runs `trials` independent reservations of cfg on `workers`
+// engine workers (Workers() when workers <= 0) and merges the results.
+// Trials are partitioned into fixed-size blocks, each drawing from its
+// own rng substream of seed, and block results are reduced in
 // deterministic order — the aggregate depends only on (cfg, trials,
 // seed), never on the worker count or goroutine scheduling.
 func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, Run, nil)
+	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, Run)
 	return agg
 }
 
@@ -91,94 +91,91 @@ func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
 // completed trial alongside ctx.Err(). Without cancellation the result
 // is bit-identical to MonteCarlo and the error is nil.
 func MonteCarloContext(ctx context.Context, cfg Config, trials int, seed uint64, workers int) (Aggregate, error) {
-	return monteCarloRunner(ctx, cfg, trials, seed, workers, Run, nil)
+	return monteCarloRunner(ctx, cfg, trials, seed, workers, Run)
 }
 
 // MonteCarloOracle is MonteCarlo with the clairvoyant scheduler.
 func MonteCarloOracle(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, RunOracle, nil)
+	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, RunOracle)
 	return agg
 }
 
 func monteCarloRunner(ctx context.Context, cfg Config, trials int, seed uint64, workers int,
-	run func(Config, *rng.Source) RunResult, ck Checkpointer) (Aggregate, error) {
+	run func(Config, *rng.Source) RunResult) (Aggregate, error) {
 
 	cfg.validate()
-	if trials <= 0 {
-		return Aggregate{}, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-
-	numBlocks := (trials + mcBlockSize - 1) / mcBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	done := ctx.Done()
-	parts := make([]Aggregate, numBlocks)
-	// Blocks persisted by a previous interrupted run are restored into
-	// parts and never dispatched; only the missing blocks are simulated.
-	restored, rerr := restoreBlocks(ck, numBlocks, func(b int, data []byte) error {
-		return decodeAggregate(data, &parts[b])
+	parts := make([]Aggregate, NumMonteCarloBlocks(trials))
+	err := runBlocks(ctx, len(parts), seed, workers, func(b int, src *rng.Source, done <-chan struct{}) bool {
+		var complete bool
+		parts[b], complete = runMCBlock(cfg, trials, b, src, run, done)
+		return complete
 	})
-	if rerr != nil {
-		return Aggregate{}, rerr
-	}
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block: the state
-			// is identical to a fresh NewStream, without the per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				agg, complete := runMCBlock(cfg, trials, b, &src, run, done)
-				parts[b] = agg
-				if !complete {
-					// The block is incomplete: its partial tallies stay in
-					// the returned aggregate but are never committed — a
-					// resume re-runs it from scratch.
-					return
-				}
-				if ck != nil {
-					ck.Commit(b, encodeAggregate(&parts[b]))
-				}
-				cfg.Obs.tickBlock()
-			}
-		}()
-	}
-dispatch:
-	for b := 0; b < numBlocks; b++ {
-		if restored != nil && restored[b] {
-			continue
-		}
-		select {
-		case blocks <- b:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(blocks)
-	wg.Wait()
-
 	var total Aggregate
 	for _, p := range parts {
 		total.merge(p)
 	}
-	return total, ctx.Err()
+	return total, err
 }
+
+// runBlocks is the worker pool behind every Monte-Carlo call: it drains
+// numBlocks block jobs through engine.RunStream on `workers` workers
+// (Workers() when workers <= 0), job b running block b on rng substream
+// b of seed. block simulates one block and stores its typed partial in
+// the caller's slot b, whether the block completed or done fired
+// mid-block (it then returns false): the caller merges the slots in
+// block order, so the aggregate is bit-identical for any worker count,
+// and after a cancellation it covers every completed trial. The stream
+// sink folds nothing and nothing is snapshotted — durable runs go
+// through the engine with a checkpoint instead. The error is ctx.Err()
+// after a cancellation.
+func runBlocks(ctx context.Context, numBlocks int, seed uint64, workers int,
+	block func(b int, src *rng.Source, done <-chan struct{}) (complete bool)) error {
+
+	if numBlocks == 0 {
+		return ctx.Err()
+	}
+	if workers <= 0 {
+		workers = Workers()
+	}
+	if workers > numBlocks {
+		workers = numBlocks
+	}
+	next := 0
+	source := engine.SourceFunc(func() (engine.Job, bool) {
+		if next == numBlocks {
+			return engine.Job{}, false
+		}
+		b := next
+		next++
+		return engine.Job{
+			Stream: uint64(b),
+			Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
+				if !block(b, src, ctx.Done()) {
+					return engine.JobResult{}, interruptErr(ctx)
+				}
+				return engine.JobResult{}, nil
+			},
+		}, true
+	})
+	_, err := engine.RunStream(ctx, engine.StreamSpec{Source: source, Sink: nopSink{}, Seed: seed, Workers: workers})
+	return err
+}
+
+// nopSink is runBlocks' stream sink: the partials live in the caller's
+// per-block slots, so there is nothing to fold and no state to persist.
+type nopSink struct{}
+
+func (nopSink) Commit(int, []byte) (bool, error) { return false, nil }
+func (nopSink) State() ([]byte, error)           { return nil, nil }
+func (nopSink) Restore([]byte) error             { return nil }
 
 // runMCBlock simulates the trials of block b ([b*mcBlockSize, ...)) on
 // src and returns the block aggregate. cfg is received by value, so the
 // per-trial index stamp for deterministic trace sampling never races
 // other workers. complete is false when done fired mid-block — the
 // partial tallies are still returned, but such a block must never be
-// committed as durable state.
+// committed as durable state; only a completed block ticks the
+// observer's block counter.
 func runMCBlock(cfg Config, trials, b int, src *rng.Source,
 	run func(Config, *rng.Source) RunResult, done <-chan struct{}) (agg Aggregate, complete bool) {
 
@@ -204,5 +201,6 @@ func runMCBlock(cfg Config, trials, b int, src *rng.Source,
 		cfg.Obs.tickProgress(1)
 		cfg.Obs.tickProgressWork(1, rr.Saved)
 	}
+	cfg.Obs.tickBlock()
 	return agg, true
 }

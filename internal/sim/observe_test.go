@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,16 +191,31 @@ func TestTraceEventsWellFormed(t *testing.T) {
 	_ = agg
 }
 
+// cancelOnDecision wraps a strategy and cancels the run on its n-th
+// decision, so a cancellation test strikes mid-run after a fixed amount
+// of simulated work rather than after a wall-clock delay that a slow
+// host (or the race detector) can outlast before the first trial ends.
+type cancelOnDecision struct {
+	strategy.Strategy
+	n      int64
+	calls  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnDecision) Decide(s strategy.State) strategy.Action {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Strategy.Decide(s)
+}
+
 func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
 	// The cancellation contract: the aggregate covers exactly the trials
 	// that completed — every per-metric summary holds one sample per
 	// accounted trial, never a partial or duplicated one.
-	cfg := fig8Config(strategy.NewWorkThreshold(20))
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	cfg := fig8Config(&cancelOnDecision{Strategy: strategy.NewWorkThreshold(20), n: 10_000, cancel: cancel})
 	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 41, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -222,5 +238,33 @@ func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
 		if s.n != agg.Trials {
 			t.Errorf("%s summary holds %d samples, want Trials = %d", s.name, s.n, agg.Trials)
 		}
+	}
+}
+
+// TestCancelledCampaignCountsOnlyCompletedBlocks: sim.blocks counts
+// completed blocks, so after a cancellation that interrupts blocks
+// mid-flight it can never account for more trials than the aggregate
+// holds.
+func TestCancelledCampaignCountsOnlyCompletedBlocks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := faultyCampaignConfig(nil)
+	// About ten blocks' worth of decisions at two workers, then cancel.
+	cfg.Reservation.Strategy = &cancelOnDecision{Strategy: cfg.Reservation.Strategy, n: 20_000, cancel: cancel}
+	ob := NewObserver(obs.NewRegistry(), 0)
+	cfg.Reservation.Obs = ob
+	agg, err := MonteCarloCampaignContext(ctx, cfg, 1_000_000, 3, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	blocks := ob.Blocks.Value()
+	if blocks == 0 || int64(agg.Trials) >= 1_000_000 {
+		t.Fatalf("cancellation left %d blocks, %d trials; want a mid-run partial", blocks, agg.Trials)
+	}
+	if blocks*campaignBlockSize > int64(agg.Trials) {
+		t.Errorf("sim.blocks = %d (%d trials) exceeds the %d trials merged", blocks, blocks*campaignBlockSize, agg.Trials)
+	}
+	if got := ob.Campaigns.Value(); got != int64(agg.Trials) {
+		t.Errorf("sim.campaigns = %d, want Trials = %d", got, agg.Trials)
 	}
 }

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"reskit/internal/core"
 	"reskit/internal/rng"
@@ -39,7 +38,8 @@ func RunPreemptibleOnce(p *core.Preemptible, x float64, r *rng.Source) float64 {
 
 // MonteCarloPreemptible estimates E(W(X)) by simulation: `trials`
 // independent reservations with the checkpoint started x before the end,
-// split across `workers` parallel substreams of seed.
+// in fixed blocks on their own substreams of seed, run by `workers`
+// engine workers.
 func MonteCarloPreemptible(p *core.Preemptible, x float64, trials int, seed uint64, workers int) PreemptibleAggregate {
 	return preemptibleRunner(trials, seed, workers, preemptTrial(p, x, false))
 }
@@ -113,46 +113,23 @@ func runPreemptBlock(trial func(*rng.Source) (float64, bool), trials, b int,
 func preemptibleRunner(trials int, seed uint64, workers int,
 	trial func(*rng.Source) (float64, bool)) PreemptibleAggregate {
 
-	if trials <= 0 {
-		return PreemptibleAggregate{}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Fixed-size blocks, one rng substream per block: the aggregate is
-	// independent of the worker count (see MonteCarlo).
-	numBlocks := (trials + mcBlockSize - 1) / mcBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	parts := make([]preemptPartial, numBlocks)
-	blocks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One Source per worker, reinitialized per block — state
-			// identical to a fresh NewStream, with no per-block
-			// allocation.
-			var src rng.Source
-			for b := range blocks {
-				src.Reinit(seed, uint64(b))
-				parts[b], _ = runPreemptBlock(trial, trials, b, &src, nil)
-			}
-		}()
-	}
-	for b := 0; b < numBlocks; b++ {
-		blocks <- b
-	}
-	close(blocks)
-	wg.Wait()
-
+	parts := make([]preemptPartial, NumMonteCarloBlocks(trials))
+	// The preemptible calls take no context, so every block runs to
+	// completion and skips the per-trial cancellation check.
+	_ = runBlocks(context.Background(), len(parts), seed, workers, func(b int, src *rng.Source, _ <-chan struct{}) bool {
+		parts[b], _ = runPreemptBlock(trial, trials, b, src, nil)
+		return true
+	})
 	var agg PreemptibleAggregate
-	for _, p := range parts {
-		agg.Work.Merge(p.work)
-		agg.Successes += p.successes
-		agg.Trials += p.trials
+	for i := range parts {
+		agg.merge(&parts[i])
 	}
 	return agg
+}
+
+// merge folds one block's sums into the aggregate.
+func (a *PreemptibleAggregate) merge(p *preemptPartial) {
+	a.Work.Merge(p.work)
+	a.Successes += p.successes
+	a.Trials += p.trials
 }

@@ -12,7 +12,7 @@ import (
 
 // Streaming campaigns: instead of a fixed trial grid, the campaign runs
 // as an open-ended stream of full blocks — block b always simulates
-// trials [b*CampaignBlockSize, (b+1)*CampaignBlockSize) on rng
+// trials [b*StreamBlockTrials, (b+1)*StreamBlockTrials) on rng
 // substream b, exactly as the fixed grid would — drained by
 // engine.RunStream until a sequential stopping rule (stats.StopSpec)
 // fires or a trial budget runs out. Each block payload carries, besides
@@ -63,6 +63,7 @@ func runCampaignStreamBlock(cfg CampaignConfig, b int, src *rng.Source, done <-c
 		p.rsum.Add(float64(r.Reservations))
 		p.sketch.Add(u)
 	}
+	ob.tickBlock()
 	return p, true
 }
 
@@ -173,7 +174,6 @@ func (cs *CampaignStream) Source() engine.JobSource {
 				if !complete {
 					return engine.JobResult{}, interruptErr(ctx)
 				}
-				cfg.Reservation.Obs.tickBlock()
 				return engine.JobResult{Payload: encodeCampaignStreamPartial(&p)}, nil
 			},
 		}, true
@@ -255,14 +255,7 @@ func (cs *CampaignStream) Restore(state []byte) error {
 func (cs *CampaignStream) Trials() int { return cs.sums.trials }
 
 // Aggregate returns the campaign aggregate of the folded trials.
-func (cs *CampaignStream) Aggregate() CampaignAggregate {
-	var agg CampaignAggregate
-	agg.Trials = cs.sums.trials
-	if cs.sums.trials > 0 {
-		finalizeCampaignAggregate(&agg, &cs.sums)
-	}
-	return agg
-}
+func (cs *CampaignStream) Aggregate() CampaignAggregate { return cs.sums.aggregate() }
 
 // Target returns the effective stop-target name.
 func (cs *CampaignStream) Target() string { return cs.target }

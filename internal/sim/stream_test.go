@@ -322,3 +322,49 @@ func TestFaultSweepJobName(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepGridLayout pins the job layout simulate and distrun share:
+// row-major over (row, block), stream = block, canonical names, each
+// job's payload the campaign block of its row, and Row slicing one
+// row's payloads out of the job-ordered list.
+func TestSweepGridLayout(t *testing.T) {
+	const trials, seed = 2*campaignBlockSize + 5, 9 // three blocks per row
+	g, err := FaultSweepGrid(streamTestConfig(), "30,60", trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumBlocks != 3 || g.NumJobs() != 6 {
+		t.Fatalf("grid is %d blocks, %d jobs; want 3, 6", g.NumBlocks, g.NumJobs())
+	}
+	jobs := g.Jobs()
+	payloads := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		ri, b := i/3, i%3
+		if want := FaultSweepJobName(g.MTBFs, 3, i); j.Name != want || j.Stream != uint64(b) {
+			t.Errorf("job %d is %q on stream %d, want %q on %d", i, j.Name, j.Stream, want, b)
+		}
+		jr, err := j.Run(context.Background(), rng.NewStream(seed, j.Stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CampaignBlockPayload(context.Background(), g.Rows[ri], trials, b, rng.NewStream(seed, uint64(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jr.Payload, want) {
+			t.Errorf("job %d payload differs from row %d block %d", i, ri, b)
+		}
+		if err := g.Check(i, jr.Payload); err != nil {
+			t.Errorf("job %d payload rejected: %v", i, err)
+		}
+		payloads[i] = jr.Payload
+	}
+	if row := g.Row(payloads, 1); len(row) != 3 || !bytes.Equal(row[0], payloads[3]) {
+		t.Error("Row(1) is not payloads[3:6]")
+	}
+
+	plain := CampaignGrid(streamTestConfig(), trials)
+	if plain.NumJobs() != 3 || plain.JobName(2) != "block2" || plain.MTBFs != nil {
+		t.Errorf("plain grid: %d jobs, job 2 named %q", plain.NumJobs(), plain.JobName(2))
+	}
+}

@@ -69,9 +69,10 @@ func Simulate(cfg SimConfig, r *RNG) RunResult { return sim.Run(cfg, r) }
 // SimulateOracle runs one reservation under the clairvoyant scheduler.
 func SimulateOracle(cfg SimConfig, r *RNG) RunResult { return sim.RunOracle(cfg, r) }
 
-// MonteCarlo runs trials independent reservations across parallel
-// workers (0 = all CPUs); results are deterministic in (cfg, trials,
-// seed) regardless of the worker count.
+// MonteCarlo runs trials independent reservations on the run engine's
+// workers (0 = all CPUs), one job per fixed block of trials; results
+// are deterministic in (cfg, trials, seed) regardless of the worker
+// count.
 func MonteCarlo(cfg SimConfig, trials int, seed uint64, workers int) SimAggregate {
 	return sim.MonteCarlo(cfg, trials, seed, workers)
 }
@@ -115,10 +116,11 @@ func Workers() int { return sim.Workers() }
 // campaign experiment.
 type CampaignAggregate = sim.CampaignAggregate
 
-// MonteCarloCampaign runs trials independent campaigns across workers
-// goroutines (all CPUs when workers <= 0). The aggregate is bit-identical
-// for any worker count: trials are sharded into fixed blocks, each on its
-// own rng substream, and block sums are merged in deterministic order.
+// MonteCarloCampaign runs trials independent campaigns on workers run
+// engine workers (all CPUs when workers <= 0). The aggregate is
+// bit-identical for any worker count: trials form fixed blocks, each
+// block is one engine job on its own rng substream, and block sums are
+// merged in block order.
 func MonteCarloCampaign(cfg CampaignConfig, trials int, seed uint64, workers int) CampaignAggregate {
 	return sim.MonteCarloCampaign(cfg, trials, seed, workers)
 }
