@@ -16,17 +16,10 @@ import (
 // keep nothing on disk: a durable Monte-Carlo run is a RunEngine grid
 // with one job per trial block, as every simulate mode runs.
 
-// RunState is the durable image of an engine run: kind, seed, config
-// fingerprint, geometry, and the encoded payload of every completed job
-// (or, for a streaming run, the sink state at the commit frontier).
+// RunState is the durable image of any engine run: seed, config
+// fingerprint and job count (0 for a stream), the payload of every
+// completed job, or a stream's commit frontier and sink state at it.
 type RunState = ckpt.State
-
-// RunStateKind distinguishes job-grid and stream snapshots.
-type RunStateKind = ckpt.Kind
-
-// RunStateJobs is the job-granular snapshot written by the unified run
-// engine (RunEngine); one block per job, block size 1.
-const RunStateJobs = ckpt.KindJobs
 
 // Structured snapshot errors re-exported from internal/ckpt (classify
 // with errors.Is; all of them mean "do not trust this file", never a

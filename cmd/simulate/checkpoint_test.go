@@ -147,7 +147,7 @@ func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			if err := ckpt.New(ckpt.KindJobs, tc.fp, 5, jobs, 1).WriteFile(path); err != nil {
+			if err := ckpt.New(tc.fp, 5, jobs).WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer

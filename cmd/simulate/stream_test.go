@@ -185,7 +185,7 @@ func TestStreamSoakSigintResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frontier snapshot left by SIGINT is unusable: %v", err)
 	}
-	if st.Frontier() == 0 {
+	if st.Frontier == 0 {
 		t.Fatal("snapshot recorded no committed frontier")
 	}
 

@@ -10,9 +10,10 @@ import (
 // report build in this repository executes as a list of independent jobs
 // under one engine: deterministic per-job rng substreams, worker
 // sharding, graceful cancellation, job-granular durable checkpoints
-// (RunStateJobs snapshots), atomic artifact writes, and observability
-// hooks. Results are bit-identical for any worker count, and an
-// interrupted run resumes by re-running only the missing jobs.
+// (RunState snapshots recording every completed job), atomic artifact
+// writes, and observability hooks. Results are bit-identical for any
+// worker count, and an interrupted run resumes by re-running only the
+// missing jobs.
 
 // EngineJob is one independent unit of work: a name for logs, the rng
 // substream index it owns, and the function that computes its result.

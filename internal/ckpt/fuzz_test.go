@@ -11,17 +11,22 @@ import (
 // never accept an image whose CRC does not match, and anything it does
 // accept must re-encode to the exact same canonical bytes.
 func FuzzCheckpointDecode(f *testing.F) {
-	// Seed with valid images of both kinds, plus targeted mutants, so
-	// coverage starts beyond the magic/version gate.
-	jobs := New(KindJobs, 0xabad1dea, 7, 100000, 2048)
-	jobs.Blocks[0] = bytes.Repeat([]byte{0x42}, 312)
-	jobs.Blocks[5] = bytes.Repeat([]byte{0x17}, 312)
+	// Seed with valid images of both run shapes — a grid with job
+	// records and a stream with a sink state — plus targeted mutants and
+	// a version 1 image of every retired kind, so coverage starts beyond
+	// the magic/version gate.
+	jobs := New(0xabad1dea, 7, 49)
+	jobs.Records[0] = bytes.Repeat([]byte{0x42}, 312)
+	jobs.Records[5] = bytes.Repeat([]byte{0x17}, 312)
 	f.Add(jobs.Encode())
 
 	stream := NewStream(0xfeedface, 42)
-	stream.SetStream(1000, []byte("sink state"))
+	stream.Frontier, stream.Sink = 1000, []byte("sink state")
 	f.Add(stream.Encode())
-	f.Add(New(KindJobs, 0, 0, 1, 1).Encode())
+	f.Add(New(0, 0, 1).Encode())
+	for kind := byte(1); kind <= 4; kind++ {
+		f.Add(v1Image(kind))
+	}
 
 	flipped := stream.Encode()
 	flipped[len(flipped)-1] ^= 0x80

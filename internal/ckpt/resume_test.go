@@ -57,7 +57,7 @@ func cancelAfter(jobs []engine.Job, k int64, cancel context.CancelFunc) []engine
 
 // TestDiskKillAndResumeBitIdentical is the full acceptance loop of a
 // durable campaign through the disk: the engine runs the campaign's
-// block grid with a KindJobs snapshot written on every commit and is
+// block grid with a snapshot written on every commit and is
 // killed after two completed blocks; the snapshot is loaded and
 // validated from disk; the resumed run checks every restored payload
 // and re-runs only the missing blocks. The merged aggregate must be
@@ -99,7 +99,7 @@ func TestDiskKillAndResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: loading snapshot: %v", workers, err)
 		}
-		if err := loaded.Check(ckpt.KindJobs, fp, seed, n, 1); err != nil {
+		if err := loaded.Check(fp, seed, n); err != nil {
 			t.Fatalf("workers=%d: snapshot mismatch: %v", workers, err)
 		}
 		if loaded.Done() < 2 {
@@ -137,7 +137,7 @@ func TestDiskKillAndResumeBitIdentical(t *testing.T) {
 // structured mismatch error before any block is trusted.
 func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	st := ckpt.New(ckpt.KindJobs, ckpt.Fingerprint("totalwork=150"), 1, 5, 1)
+	st := ckpt.New(ckpt.Fingerprint("totalwork=150"), 1, 5)
 	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = loaded.Check(ckpt.KindJobs, ckpt.Fingerprint("totalwork=500"), 1, 5, 1)
+	err = loaded.Check(ckpt.Fingerprint("totalwork=500"), 1, 5)
 	if !errors.Is(err, ckpt.ErrMismatch) {
 		t.Errorf("foreign snapshot: err = %v, want ErrMismatch", err)
 	}
@@ -155,8 +155,8 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 // truncated snapshot file yields a structured error, never a panic.
 func TestLoadCorruptSnapshotFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	st := ckpt.New(ckpt.KindJobs, 9, 1, 2, 1)
-	st.Blocks[0] = make([]byte, 312)
+	st := ckpt.New(9, 1, 2)
+	st.Records[0] = make([]byte, 312)
 	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -10,23 +10,23 @@ import (
 )
 
 // TestStreamStateRoundTrip: a frontier snapshot survives the wire
-// format with its geometry re-read as frontier + sink state.
+// format with its frontier and sink state.
 func TestStreamStateRoundTrip(t *testing.T) {
 	s := NewStream(0xfeed, 7)
-	if s.Frontier() != 0 {
-		t.Errorf("fresh stream frontier = %d, want 0", s.Frontier())
+	if s.Frontier != 0 {
+		t.Errorf("fresh stream frontier = %d, want 0", s.Frontier)
 	}
-	s.SetStream(42, []byte("sink-state"))
-	if s.Frontier() != 42 {
-		t.Errorf("frontier = %d, want 42", s.Frontier())
+	s.Frontier, s.Sink = 42, []byte("sink-state")
+	if s.Frontier != 42 {
+		t.Errorf("frontier = %d, want 42", s.Frontier)
 	}
-	if !bytes.Equal(s.StreamState(), []byte("sink-state")) {
-		t.Errorf("sink state = %q", s.StreamState())
+	if !bytes.Equal(s.Sink, []byte("sink-state")) {
+		t.Errorf("sink state = %q", s.Sink)
 	}
 	// A later frontier replaces, never accumulates.
-	s.SetStream(50, []byte("later"))
-	if s.Frontier() != 50 || len(s.Blocks) != 1 {
-		t.Errorf("after second SetStream: frontier %d, %d blocks", s.Frontier(), len(s.Blocks))
+	s.Frontier, s.Sink = 50, []byte("later")
+	if s.Frontier != 50 || len(s.Records) != 0 {
+		t.Errorf("after second frontier: frontier %d, %d records", s.Frontier, len(s.Records))
 	}
 
 	path := filepath.Join(t.TempDir(), "stream.ckpt")
@@ -37,29 +37,35 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.CheckStream(0xfeed, 7); err != nil {
-		t.Fatalf("CheckStream on own snapshot: %v", err)
+	if err := got.Check(0xfeed, 7, 0); err != nil {
+		t.Fatalf("Check on own snapshot: %v", err)
 	}
-	if got.Frontier() != 50 || !bytes.Equal(got.StreamState(), []byte("later")) {
-		t.Errorf("loaded frontier %d state %q, want 50 %q", got.Frontier(), got.StreamState(), "later")
+	if got.Frontier != 50 || !bytes.Equal(got.Sink, []byte("later")) {
+		t.Errorf("loaded frontier %d state %q, want 50 %q", got.Frontier, got.Sink, "later")
 	}
 }
 
-// TestFrontierOtherKinds: Frontier is meaningful only for stream
-// snapshots; any other kind reports 0 regardless of its trial count.
+// TestFrontierOtherKinds: a grid snapshot carries no frontier, and
+// Decode refuses one that claims a frontier — only open-ended streams
+// fold.
 func TestFrontierOtherKinds(t *testing.T) {
-	s := New(KindJobs, 1, 2, 4096, 32)
-	if s.Frontier() != 0 {
-		t.Errorf("jobs snapshot frontier = %d, want 0", s.Frontier())
+	s := New(1, 2, 128)
+	if s.Frontier != 0 {
+		t.Errorf("jobs snapshot frontier = %d, want 0", s.Frontier)
+	}
+	s.Frontier, s.Sink = 3, []byte("x")
+	if _, err := Decode(s.Encode()); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("grid snapshot with a frontier: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestCheckStreamMismatches: every identity disagreement wraps
-// ErrMismatch, and a stream snapshot without a sink state is corrupt.
+// ErrMismatch, and a stream snapshot with a frontier but no sink state
+// (or a sink state but no frontier) is corrupt.
 func TestCheckStreamMismatches(t *testing.T) {
 	good := func() *State {
 		s := NewStream(0xfeed, 7)
-		s.SetStream(10, []byte("x"))
+		s.Frontier, s.Sink = 10, []byte("x")
 		return s
 	}
 	cases := []struct {
@@ -67,18 +73,22 @@ func TestCheckStreamMismatches(t *testing.T) {
 		s    *State
 		want error
 	}{
-		{"wrong kind", New(KindJobs, 0xfeed, 7, 10, 1), ErrMismatch},
+		{"wrong kind", New(0xfeed, 7, 10), ErrMismatch},
 		{"wrong fingerprint", func() *State { s := good(); s.Fingerprint = 0xdead; return s }(), ErrMismatch},
 		{"wrong seed", func() *State { s := good(); s.Seed = 8; return s }(), ErrMismatch},
-		{"zero frontier", NewStream(0xfeed, 7), ErrCorrupt},
-		{"empty sink state", func() *State { s := good(); s.Blocks[0] = nil; return s }(), ErrCorrupt},
+		{"zero frontier", func() *State { s := good(); s.Frontier = 0; return s }(), ErrCorrupt},
+		{"empty sink state", func() *State { s := good(); s.Sink = nil; return s }(), ErrCorrupt},
 	}
 	for _, tc := range cases {
-		if err := tc.s.CheckStream(0xfeed, 7); !errors.Is(err, tc.want) {
+		st, err := Decode(tc.s.Encode())
+		if err == nil {
+			err = st.Check(0xfeed, 7, 0)
+		}
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if err := good().CheckStream(0xfeed, 7); err != nil {
+	if err := good().Check(0xfeed, 7, 0); err != nil {
 		t.Errorf("matching snapshot rejected: %v", err)
 	}
 }
@@ -110,8 +120,8 @@ func TestWriterCommitStreamThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interval elapsed but no valid snapshot: %v", err)
 	}
-	if st.Frontier() != 9 || !bytes.Equal(st.StreamState(), []byte("s9")) {
-		t.Errorf("snapshot frontier %d state %q, want 9 %q", st.Frontier(), st.StreamState(), "s9")
+	if st.Frontier != 9 || !bytes.Equal(st.Sink, []byte("s9")) {
+		t.Errorf("snapshot frontier %d state %q, want 9 %q", st.Frontier, st.Sink, "s9")
 	}
 
 	// A final flush persists the last frontier even inside the throttle.
@@ -123,10 +133,10 @@ func TestWriterCommitStreamThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Frontier() != 11 {
-		t.Errorf("flushed frontier = %d, want 11", st.Frontier())
+	if st.Frontier != 11 {
+		t.Errorf("flushed frontier = %d, want 11", st.Frontier)
 	}
-	if err := st.CheckStream(0xfeed, 7); err != nil {
+	if err := st.Check(0xfeed, 7, 0); err != nil {
 		t.Errorf("flushed snapshot fails its own check: %v", err)
 	}
 }

@@ -17,9 +17,9 @@ import (
 // path when the head snapshot is unusable.
 func PrevGeneration(path string) string { return path + ".1" }
 
-// Writer is the durable checkpoint layer of the engine: engine.Run (and
-// the distrun coordinator) call Commit as jobs complete, RunStream calls
-// CommitStream as its frontier advances, and the writer folds each into
+// Writer is the durable checkpoint layer of the engine: the engine's
+// run ledger calls Commit as grid jobs complete and CommitStream as a
+// folding stream's frontier advances, and the writer folds each into
 // the run State, snapshotting the whole state to disk at most once per
 // interval — the Young/Daly trade-off in miniature: frequent snapshots
 // bound the re-computation lost to a crash, sparse ones bound the I/O
@@ -49,7 +49,7 @@ type Writer struct {
 	log     io.Writer // immediate first-error surfacing (nil: discard)
 	logged  bool
 
-	// Optional instruments, bound by Instrument: snapshot writes, blocks
+	// Optional instruments, bound by Instrument: snapshot writes, records
 	// committed, write failures, and the wall-clock second of the last
 	// durable snapshot.
 	snapshots *obs.Counter
@@ -69,9 +69,9 @@ func NewWriter(path string, interval time.Duration, state *State) *Writer {
 }
 
 // Instrument binds the writer's instruments on reg: the "ckpt.snapshots",
-// "ckpt.blocks_committed" and "ckpt.write_errors" counters and the
-// "ckpt.last_snapshot_unix" gauge. A nil registry leaves them disabled
-// at zero cost.
+// "ckpt.blocks_committed" (records and frontiers) and "ckpt.write_errors"
+// counters and the "ckpt.last_snapshot_unix" gauge. A nil registry
+// leaves them disabled at zero cost.
 func (w *Writer) Instrument(reg *obs.Registry) {
 	w.snapshots = reg.Counter("ckpt.snapshots")
 	w.blocks = reg.Counter("ckpt.blocks_committed")
@@ -89,34 +89,29 @@ func (w *Writer) LogTo(out io.Writer) {
 	w.log = out
 }
 
-// Restore returns the payload of job b from the loaded snapshot, or nil
-// when the job must be (re)computed.
-func (w *Writer) Restore(b int) []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state.Blocks[b]
-}
-
 // Commit records the payload of a freshly completed job and snapshots
 // the state to disk when the interval has elapsed.
 func (w *Writer) Commit(b int, payload []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.state.Blocks[b] = payload
-	w.dirty = true
-	w.blocks.Inc()
-	if w.now().Sub(w.last) >= w.interval {
-		w.writeLocked()
-	}
+	w.state.Records[b] = payload
+	w.committedLocked()
 }
 
-// CommitStream records the sink state of a streaming run at a new
-// frontier (see ckpt.NewStream for the geometry) and snapshots when the
-// interval has elapsed. frontier must be positive.
+// CommitStream records the sink state of a folding stream at a new
+// frontier and snapshots when the interval has elapsed. frontier must
+// be positive and state non-empty (Decode refuses a frontier without a
+// sink state).
 func (w *Writer) CommitStream(frontier int64, state []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.state.SetStream(frontier, state)
+	w.state.Frontier, w.state.Sink = frontier, state
+	w.committedLocked()
+}
+
+// committedLocked marks the state changed and snapshots it when the
+// interval has elapsed; w.mu must be held.
+func (w *Writer) committedLocked() {
 	w.dirty = true
 	w.blocks.Inc()
 	if w.now().Sub(w.last) >= w.interval {
@@ -125,8 +120,8 @@ func (w *Writer) CommitStream(frontier int64, state []byte) {
 }
 
 // Due reports whether the throttle interval has elapsed since the last
-// write attempt. Streaming engines use it to skip materializing the sink
-// state for a commit that would not be written anyway — unlike block
+// write attempt. Folding streams use it to skip materializing the sink
+// state for a commit that would not be written anyway — unlike job
 // payloads, the sink state must be re-encoded at every frontier it is
 // persisted at.
 func (w *Writer) Due() bool {
@@ -212,10 +207,11 @@ func (w *Writer) writeVerified() error {
 	}
 	loaded, err := Load(w.path)
 	if err == nil {
-		err = loaded.Check(w.state.Kind, w.state.Fingerprint, w.state.Seed, w.state.Trials, w.state.BlockSize)
+		err = loaded.Check(w.state.Fingerprint, w.state.Seed, w.state.Jobs)
 	}
-	if err == nil && loaded.Done() != w.state.Done() {
-		err = fmt.Errorf("%w: readback holds %d blocks, wrote %d", ErrCorrupt, loaded.Done(), w.state.Done())
+	if err == nil && (loaded.Done() != w.state.Done() || loaded.Frontier != w.state.Frontier) {
+		err = fmt.Errorf("%w: readback holds %d records at frontier %d, wrote %d at %d",
+			ErrCorrupt, loaded.Done(), loaded.Frontier, w.state.Done(), w.state.Frontier)
 	}
 	if err != nil {
 		os.Remove(w.path) // fall back to the rotated generation on resume

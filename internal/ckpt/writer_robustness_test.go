@@ -33,7 +33,7 @@ func (f *flakyInjector) Fault(op atomicio.Op, path string, n int) (int, error) {
 
 func TestWriterRotatesGenerations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(1, 2, 2))
 
 	w.Commit(0, []byte("a"))
 	if err := w.Flush(); err != nil {
@@ -58,8 +58,8 @@ func TestWriterRotatesGenerations(t *testing.T) {
 	if head.Done() != 2 || prev.Done() != 1 {
 		t.Fatalf("head holds %d blocks, prev %d; want 2 and 1", head.Done(), prev.Done())
 	}
-	if !bytes.Equal(prev.Blocks[0], []byte("a")) || prev.Blocks[1] != nil {
-		t.Fatalf("previous generation is not the pre-rotation state: %+v", prev.Blocks)
+	if !bytes.Equal(prev.Records[0], []byte("a")) || prev.Records[1] != nil {
+		t.Fatalf("previous generation is not the pre-rotation state: %+v", prev.Records)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestWriterDirtyRetryAfterWriteFailure(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var log bytes.Buffer
-	w := NewWriter(path, 0, New(KindJobs, 1, 2, 64, 32))
+	w := NewWriter(path, 0, New(1, 2, 2))
 	w.last = time.Time{} // interval elapsed: every Commit attempts a write
 	w.Instrument(reg)
 	w.LogTo(&log)
@@ -112,8 +112,8 @@ func TestWriterDirtyRetryAfterWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(st.Blocks[0], []byte("a2")) || !bytes.Equal(st.Blocks[1], []byte("b")) {
-		t.Fatalf("healed snapshot lost state: %+v", st.Blocks)
+	if !bytes.Equal(st.Records[0], []byte("a2")) || !bytes.Equal(st.Records[1], []byte("b")) {
+		t.Fatalf("healed snapshot lost state: %+v", st.Records)
 	}
 	// Err keeps the first lifetime error even after recovery.
 	if w.Err() != firstErr {
@@ -127,7 +127,7 @@ func TestWriterFlushReportsStaleStateWhileDiskDead(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 	atomicio.SetInjector(&flakyInjector{prefix: dir, failures: 1 << 30})
 
-	w := NewWriter(path, time.Hour, New(KindJobs, 1, 2, 64, 32))
+	w := NewWriter(path, time.Hour, New(1, 2, 2))
 	w.Commit(0, []byte("a"))
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush must fail while the state cannot reach disk")
@@ -144,7 +144,7 @@ func TestWriterFailedWriteFallsBackToRotatedGeneration(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 
-	w := NewWriter(path, 0, New(KindJobs, 1, 2, 64, 32))
+	w := NewWriter(path, 0, New(1, 2, 2))
 	w.last = time.Time{}
 	w.Commit(0, []byte("good"))
 	if err := w.Flush(); err != nil {
@@ -163,8 +163,8 @@ func TestWriterFailedWriteFallsBackToRotatedGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("previous generation must survive the failed head write: %v", err)
 	}
-	if !bytes.Equal(prev.Blocks[0], []byte("good")) {
-		t.Fatalf("previous generation corrupted: %+v", prev.Blocks)
+	if !bytes.Equal(prev.Records[0], []byte("good")) {
+		t.Fatalf("previous generation corrupted: %+v", prev.Records)
 	}
 }
 

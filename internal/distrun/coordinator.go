@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
-	"reskit/internal/ckpt"
 	"reskit/internal/engine"
 	"reskit/internal/obs"
 )
@@ -36,23 +34,23 @@ const (
 
 // CoordinatorConfig describes the run the coordinator owns. It is the
 // distributed twin of engine.Spec: same identity triple (fingerprint,
-// seed, job count), same checkpoint layer, same restore validation —
-// the two sides share snapshot files interchangeably.
+// seed, job count), and the same durable ledger (engine.Ledger) with
+// the same restore validation — so the two sides share snapshot files
+// interchangeably.
 type CoordinatorConfig struct {
 	NumJobs     int
 	Seed        uint64
 	Fingerprint uint64
 
-	// Checkpoint configures the coordinator's durable ledger
-	// (internal/ckpt, KindJobs — the exact format engine.Run writes, so
-	// a local run can resume a distributed snapshot and vice versa).
+	// Checkpoint configures the run's durable ledger: engine.Run's own,
+	// so a local run can resume a distributed snapshot and vice versa.
 	Checkpoint engine.Checkpoint
 
 	// Check, when set, validates every payload before the ledger trusts
 	// it — restored payloads at startup (a failure aborts construction,
-	// as in engine.Run) and submitted payloads at arrival (a failure
-	// counts as a failure report against the job, never poisons the
-	// ledger).
+	// as in engine.Run) and submitted payloads at arrival (a failure, or
+	// a payload too large for a snapshot record, counts as a failure
+	// report against the job and never poisons the ledger).
 	Check func(job int, payload []byte) error
 
 	// JobName labels a job in errors (nil: "job<i>").
@@ -100,12 +98,12 @@ type lease struct {
 	deadline time.Time
 }
 
-// Coordinator owns the job ledger of one distributed run: it grants
-// leases, tracks heartbeats, requeues what expires, deduplicates what
-// arrives twice, commits payloads to the durable snapshot, and declares
-// the run over. All HTTP handlers and Wait share one mutex — the
-// protocol messages are small and the payload work happens on the
-// workers, so the ledger is never the bottleneck.
+// Coordinator owns the lease bookkeeping of one distributed run: it
+// grants leases, tracks heartbeats, requeues what expires, deduplicates
+// what arrives twice, records payloads in the run's engine.Ledger, and
+// declares the run over. All HTTP handlers and Wait share one mutex —
+// the protocol messages are small and the payload work happens on the
+// workers, so the bookkeeping is never the bottleneck.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	logw io.Writer
@@ -128,7 +126,7 @@ type Coordinator struct {
 	finishOnce sync.Once
 	finished   chan struct{}
 
-	writer *ckpt.Writer
+	led *engine.Ledger
 
 	leasesIssued, leasesExpired, jobsRequeued, jobsRetried *obs.Counter
 	jobsCompleted, jobsRestoredC, dupResults               *obs.Counter
@@ -136,9 +134,10 @@ type Coordinator struct {
 	workersLive, leaseBatch, jobNSEwma                     *obs.Gauge
 }
 
-// NewCoordinator builds the ledger, restoring completed jobs from the
-// snapshot when Checkpoint.Resume is set (with the same head-then-
-// previous-generation fallback and payload validation as engine.Run).
+// NewCoordinator builds the coordinator, restoring completed jobs from
+// the snapshot when Checkpoint.Resume is set (through the engine's
+// ledger: the same head-then-previous-generation fallback and payload
+// validation as engine.Run).
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.NumJobs <= 0 {
 		return nil, fmt.Errorf("distrun: NumJobs must be positive, got %d", cfg.NumJobs)
@@ -198,38 +197,19 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	cfg.Reg.Gauge("distrun.jobs_total").Set(float64(n))
 
-	if cfg.Checkpoint.Path != "" {
-		st := ckpt.New(ckpt.KindJobs, cfg.Fingerprint, cfg.Seed, int64(n), 1)
-		if cfg.Checkpoint.Resume {
-			if loaded := engine.ResumableState(logw, cfg.Checkpoint.Path, cfg.Fingerprint, cfg.Seed, int64(n)); loaded != nil {
-				st = loaded
-			}
-		}
-		c.writer = ckpt.NewWriter(cfg.Checkpoint.Path, cfg.Checkpoint.Interval, st)
-		c.writer.Instrument(cfg.Reg)
-		c.writer.LogTo(logw)
-		for i := 0; i < n; i++ {
-			payload := c.writer.Restore(i)
-			if payload == nil {
-				continue
-			}
-			if cfg.Check != nil {
-				if err := cfg.Check(i, payload); err != nil {
-					return nil, fmt.Errorf("distrun: restoring job %d (%s): %w", i, c.jobName(i), err)
-				}
-			}
-			c.payloads[i] = payload
-			c.state[i] = stateDone
-			c.done++
-			c.restored++
-			c.jobsRestoredC.Inc()
-			cfg.Progress.Add(1)
-		}
+	c.led = engine.OpenLedger(cfg.Checkpoint, cfg.Fingerprint, cfg.Seed, n, logw, cfg.Reg)
+	restored, err := c.led.Restore(c.payloads, cfg.Check, c.jobName)
+	if err != nil {
+		return nil, err
 	}
-
-	c.queue = make([]int, 0, n-c.done)
-	for i := 0; i < n; i++ {
-		if c.state[i] == statePending {
+	c.done, c.restored = restored, restored
+	c.jobsRestoredC.Add(int64(restored))
+	cfg.Progress.Add(int64(restored))
+	c.queue = make([]int, 0, n-restored)
+	for i, p := range c.payloads {
+		if p != nil {
+			c.state[i] = stateDone
+		} else {
 			c.queue = append(c.queue, i)
 		}
 	}
@@ -425,16 +405,18 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			// coordinator will re-issue it.
 			continue
 		}
-		if c.cfg.Check != nil {
-			if err := c.cfg.Check(jr.Job, jr.Payload); err != nil {
-				// A given-up job stays given up — another failure report
-				// would re-enter recordFailureLocked's terminal branch
-				// and double-book the job.
-				if c.state[jr.Job] != stateFailed {
-					c.recordFailureLocked(jr.Job, 1, fmt.Errorf("payload rejected: %w", err))
-				}
-				continue
+		err := c.led.Admit("payload", jr.Payload)
+		if err == nil && c.cfg.Check != nil {
+			err = c.cfg.Check(jr.Job, jr.Payload)
+		}
+		if err != nil {
+			// A given-up job stays given up — another failure report
+			// would re-enter recordFailureLocked's terminal branch and
+			// double-book the job.
+			if c.state[jr.Job] != stateFailed {
+				c.recordFailureLocked(jr.Job, 1, fmt.Errorf("payload rejected: %w", err))
 			}
+			continue
 		}
 		if c.state[jr.Job] == stateFailed {
 			// Reachable under at-least-once delivery: late failure
@@ -458,17 +440,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.recordFailureLocked(jf.Job, jf.Attempts, errors.New(jf.Error))
 	}
 	if l, ok := c.leases[req.Lease]; ok {
-		c.observeLeaseLocked(l, now)
 		// Whatever the submission did not resolve goes back to the
 		// queue — a worker that drained early still returns its lease.
-		for _, j := range l.jobs {
-			if c.state[j] == stateLeased {
-				c.state[j] = statePending
-				c.queue = append(c.queue, j)
-				c.jobsRequeued.Inc()
-			}
-		}
-		delete(c.leases, req.Lease)
+		c.observeLeaseLocked(l, now)
+		c.releaseLocked(l)
 	}
 	resp.Done = c.runOverLocked()
 	c.maybeFinishLocked()
@@ -476,17 +451,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// acceptLocked commits one fresh payload to the ledger and the durable
-// snapshot.
+// acceptLocked commits one fresh payload and records it in the ledger.
 func (c *Coordinator) acceptLocked(job int, payload []byte) {
 	c.payloads[job] = payload
 	c.state[job] = stateDone
 	c.done++
 	c.jobsCompleted.Inc()
 	c.cfg.Progress.Add(1)
-	if c.writer != nil {
-		c.writer.Commit(job, payload)
-	}
+	c.led.Record(job, payload)
 }
 
 // recordFailureLocked books one permanent-failure report against a job:
@@ -506,7 +478,7 @@ func (c *Coordinator) recordFailureLocked(job, attempts int, err error) {
 	}
 	c.state[job] = stateFailed
 	c.jobsFailed.Inc()
-	je := &engine.JobError{Job: job, Name: c.jobName(job), Attempts: c.failReports[job] * maxInt(attempts, 1), Err: err}
+	je := &engine.JobError{Job: job, Name: c.jobName(job), Attempts: c.failReports[job] * max(attempts, 1), Err: err}
 	if c.cfg.KeepGoing {
 		c.failed[job] = je
 		return
@@ -564,6 +536,18 @@ func leaseSize(ewmaNS float64, target time.Duration, min, max int) int {
 	return n
 }
 
+// releaseLocked ends lease l, requeueing every job it left unresolved.
+func (c *Coordinator) releaseLocked(l *lease) {
+	for _, j := range l.jobs {
+		if c.state[j] == stateLeased {
+			c.state[j] = statePending
+			c.queue = append(c.queue, j)
+			c.jobsRequeued.Inc()
+		}
+	}
+	delete(c.leases, l.id)
+}
+
 // reapLocked expires overdue leases (requeueing their unresolved jobs)
 // and refreshes the worker-liveness gauge.
 func (c *Coordinator) reapLocked(now time.Time) {
@@ -571,14 +555,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		if now.Before(l.deadline) {
 			continue
 		}
-		for _, j := range l.jobs {
-			if c.state[j] == stateLeased {
-				c.state[j] = statePending
-				c.queue = append(c.queue, j)
-				c.jobsRequeued.Inc()
-			}
-		}
-		delete(c.leases, id)
+		c.releaseLocked(l)
 		c.leasesExpired.Inc()
 		fmt.Fprintf(c.logw, "distrun: lease %d (worker %s) expired; %d jobs requeued\n", id, l.worker, len(l.jobs))
 	}
@@ -597,14 +574,14 @@ func (c *Coordinator) reapLocked(now time.Time) {
 }
 
 // Wait blocks until every job is resolved, a job exhausts its budget
-// without KeepGoing, or ctx is cancelled, then flushes the final
-// snapshot and assembles the result. The contract mirrors engine.Run:
-// ctx.Err() after an interruption (the partial result is valid and the
-// snapshot resumable), a joined multi-error of engine.JobError values
-// after a degraded keep-going run, an engine.SnapshotError joined in
-// when the final snapshot could not be persisted, the fatal job error
-// otherwise. After Wait returns, lease requests answer StatusDone, so
-// surviving workers drain and exit cleanly.
+// without KeepGoing, or ctx is cancelled, then ends the run on the
+// ledger exactly as engine.Run does: ctx.Err() after an interruption
+// (the partial result is valid and the snapshot resumable), a joined
+// multi-error of engine.JobError values after a degraded keep-going
+// run, an engine.SnapshotError joined in when the final snapshot could
+// not be persisted, the fatal job error otherwise. After Wait returns,
+// lease requests answer StatusDone, so surviving workers drain and exit
+// cleanly.
 func (c *Coordinator) Wait(ctx context.Context) (*engine.Result, error) {
 	reap := c.cfg.LeaseTTL / 4
 	if reap > 250*time.Millisecond {
@@ -637,51 +614,13 @@ loop:
 		Restored: c.restored,
 		Fresh:    c.done - c.restored,
 	}
-	runErr := c.fatal
-	if len(c.failed) > 0 {
-		failed := make([]*engine.JobError, 0, len(c.failed))
-		for _, je := range c.failed {
-			failed = append(failed, je)
-		}
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Job < failed[b].Job })
-		res.Failed = failed
-		if runErr == nil {
-			errs := make([]error, len(failed))
-			for i, fe := range failed {
-				errs[i] = fe
-			}
-			runErr = errors.Join(errs...)
-		}
+	failed := make([]*engine.JobError, 0, len(c.failed))
+	for _, je := range c.failed {
+		failed = append(failed, je)
 	}
-	complete := c.done == c.cfg.NumJobs
+	fatal := c.fatal
 	c.mu.Unlock()
-
-	if c.writer != nil {
-		if ferr := c.writer.Flush(); ferr != nil {
-			serr := &engine.SnapshotError{Err: ferr}
-			if runErr == nil {
-				runErr = serr
-			} else {
-				runErr = errors.Join(runErr, serr)
-			}
-		}
-		if runErr == nil && ctx.Err() == nil && complete {
-			if rerr := ckpt.RemoveGenerations(c.cfg.Checkpoint.Path); rerr != nil {
-				fmt.Fprintf(c.logw, "checkpoint: completed but could not remove %s: %v\n", c.cfg.Checkpoint.Path, rerr)
-			}
-		}
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	return res, ctx.Err()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return res, c.led.Finish(ctx, res, failed, fatal)
 }
 
 // --- HTTP plumbing ----------------------------------------------------

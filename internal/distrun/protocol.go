@@ -1,13 +1,14 @@
 // Package distrun distributes a grid of engine jobs across machines: a
-// coordinator owns the job ledger and the durable snapshot, workers
-// lease batches over HTTP, execute them through internal/engine — the
-// same per-job rng substreams, the same failure policy — and return the
-// payload bytes, which the coordinator merges in job order. The final
-// result is bit-identical to a single-process engine.Run of the same
-// Spec and seed *by construction*: a job's payload is a pure function
-// of (config, seed, stream), so it does not matter which machine
-// computed it, how many times it was computed, or in what order the
-// results arrived.
+// coordinator owns the leases and records results in engine.Run's own
+// durable ledger (engine.Ledger), while workers lease batches over
+// HTTP, execute them through internal/engine — the same per-job rng
+// substreams, the same failure policy — and return the payload bytes,
+// which the coordinator merges in job order. The final result is
+// bit-identical to a single-process engine.Run of the same Spec and
+// seed *by construction*: a job's payload is a pure function of
+// (config, seed, stream), so it does not matter which machine computed
+// it, how many times it was computed, or in what order the results
+// arrived.
 //
 // Robustness is the point of the package, and it leans on the same
 // insight as the paper's prediction-window relatives (Aupy/Robert/

@@ -16,12 +16,12 @@
 // committed payloads from a snapshot and recomputing only the missing
 // jobs reproduces an uninterrupted run exactly.
 //
-// Run executes a fixed job grid. RunStream generalizes it to a lazy,
-// possibly unbounded JobSource drained into an ordered StreamSink —
-// same worker pool, same attempt loop, same failure policy — with the
-// commit frontier persisted as an open-ended snapshot (ckpt.KindStream)
-// instead of a per-job payload map. See stream.go for the ordering and
-// determinism argument.
+// Run and RunStream are the two cases of one run loop (loop.go): Run
+// keeps every completed payload of a fixed grid by index; RunStream
+// folds a lazy, possibly unbounded JobSource into an ordered
+// StreamSink. Both keep their durable state in a Ledger (ledger.go),
+// the one the distributed coordinator shares. See stream.go for the
+// ordering and determinism argument.
 package engine
 
 import (
@@ -31,13 +31,9 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"reskit/internal/atomicio"
-	"reskit/internal/ckpt"
 	"reskit/internal/obs"
 	"reskit/internal/rng"
 )
@@ -147,18 +143,19 @@ func (r *Result) Total() int { return len(r.Payloads) }
 
 // Run executes the spec: it restores completed jobs from the snapshot
 // (validating them first, falling back to the previous snapshot
-// generation when the head is unusable), dispatches the remaining jobs
-// to a worker pool with one rng substream each, retries failing
-// attempts within the spec's Failure policy, commits every completed
-// payload, writes artifacts atomically, and on cancellation drains
-// workers at the next job boundary. A final snapshot is flushed on
-// every path — success, interruption, failure — so completed work is
-// never discarded. The returned error is ctx.Err() after an
-// interruption — the partial Result is valid and the snapshot resumable
-// — a joined multi-error of JobError values after a degraded keep-going
-// run, a SnapshotError when the final snapshot could not be persisted,
-// or the first real failure (job error past its retry budget, unusable
-// restored payload, artifact write error).
+// generation when the head is unusable), runs the remaining jobs on the
+// worker pool with one rng substream each, retries failing attempts
+// within the spec's Failure policy, records every completed payload,
+// writes artifacts atomically, and on cancellation drains workers at
+// the next job boundary. A final snapshot is flushed on every path —
+// success, interruption, failure — so completed work is never
+// discarded. The returned error is ctx.Err() after an interruption —
+// the partial Result is valid and the snapshot resumable — a joined
+// multi-error of JobError values after a degraded keep-going run, a
+// SnapshotError when the final snapshot could not be persisted, or the
+// first real failure (job error past its retry budget, unusable
+// restored payload, artifact write error, payload too large for the
+// snapshot).
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	n := len(spec.Jobs)
 	res := &Result{Payloads: make([][]byte, n)}
@@ -175,234 +172,47 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if workers > n {
 		workers = n
 	}
-	logw := spec.Log
-	if logw == nil {
-		logw = io.Discard
-	}
 	spec.Reg.Gauge("engine.jobs_total").Set(float64(n))
-	doneCtr := spec.Reg.Counter("engine.jobs_done")
 
-	var writer *ckpt.Writer
-	skip := make([]bool, n)
-	if spec.Checkpoint.Path != "" {
-		st := ckpt.New(ckpt.KindJobs, spec.Fingerprint, spec.Seed, int64(n), 1)
-		if spec.Checkpoint.Resume {
-			if loaded := loadResumable(logw, spec.Checkpoint.Path, spec.Fingerprint, spec.Seed, int64(n)); loaded != nil {
-				st = loaded
-			}
-		}
-		writer = ckpt.NewWriter(spec.Checkpoint.Path, spec.Checkpoint.Interval, st)
-		writer.Instrument(spec.Reg)
-		writer.LogTo(logw)
-		restoredCtr := spec.Reg.Counter("engine.jobs_restored")
-		for i := 0; i < n; i++ {
-			payload := writer.Restore(i)
-			if payload == nil {
-				continue
-			}
-			if spec.Check != nil {
-				if err := spec.Check(i, payload); err != nil {
-					return res, fmt.Errorf("engine: restoring job %d (%s): %w", i, spec.Jobs[i].Name, err)
-				}
-			}
-			res.Payloads[i] = payload
-			skip[i] = true
-			res.Restored++
-			restoredCtr.Inc()
-			spec.Progress.Add(1)
-		}
+	led := OpenLedger(spec.Checkpoint, spec.Fingerprint, spec.Seed, n, spec.Log, spec.Reg)
+	restored, err := led.Restore(res.Payloads, spec.Check, func(i int) string { return spec.Jobs[i].Name })
+	res.Restored = restored
+	if err != nil {
+		return res, err
+	}
+	if led != nil {
+		spec.Reg.Counter("engine.jobs_restored").Add(int64(restored))
+		spec.Progress.Add(int64(restored))
 	}
 
-	// A real job failure cancels the run; the first one wins. Context
-	// errors are interruption, not failure — unless the job invented
-	// one while the run context is still live, which would otherwise
-	// silently drop the job.
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		failOnce sync.Once
-		jobErr   error
-	)
-	fail := func(err error) {
-		failOnce.Do(func() {
-			jobErr = err
-			cancel()
-		})
+	// The sinkless pool: every job index off the slice, every completed
+	// payload kept by index and recorded in the ledger. The executor
+	// skips its timing calls entirely when spec.Reg is nil, so the
+	// uninstrumented path stays clock-free.
+	p := &pool{
+		ex:        newExecutor(spec.Seed, spec.Failure, led, spec.Reg),
+		src:       NewSliceSource(spec.Jobs),
+		led:       led,
+		kept:      res.Payloads,
+		doneCtr:   spec.Reg.Counter("engine.jobs_done"),
+		failedCtr: spec.Reg.Counter("engine.jobs_failed"),
+		rate:      spec.Reg.Gauge("engine.jobs_per_sec"),
+		progress:  spec.Progress,
 	}
-
-	// The executor owns the per-attempt machinery (substream reinit,
-	// deadlines, retry/backoff, the ns_per_job sketch) shared with the
-	// streaming runner; the timing calls are skipped entirely when
-	// spec.Reg is nil so the uninstrumented path stays clock-free.
-	ex := newExecutor(spec.Seed, spec.Failure, spec.Reg)
-	runStart := time.Now()
-
-	pol := spec.Failure
-	failedCtr := spec.Reg.Counter("engine.jobs_failed")
-	// Permanent keep-going failures are recorded off the hot path; the
-	// slice is sorted into job order once the workers are done.
-	var (
-		failedMu sync.Mutex
-		failed   []*JobError
-	)
-
-	var fresh atomic.Int64
-	jobs := make(chan int)
-	done := jobCtx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One padded pair of Sources per worker, reinitialized per
-			// job (and per attempt) — state identical to a fresh
-			// NewStream, with no per-job allocation.
-			ws := new(workerSources)
-			for i := range jobs {
-				job := spec.Jobs[i]
-				jr, attempts, verdict, jerr := ex.runJob(jobCtx, i, &job, ws)
-				switch verdict {
-				case jobDrained:
-					return // drained cleanly at a job boundary
-				case jobFailed:
-					if pol.KeepGoing {
-						failedCtr.Inc()
-						failedMu.Lock()
-						failed = append(failed, &JobError{Job: i, Name: job.Name, Attempts: attempts, Err: jerr})
-						failedMu.Unlock()
-						continue // payload slot stays nil; the run keeps going
-					}
-					fail(wrapJobErr(i, job.Name, attempts, jerr))
-					return
-				case jobFabricated:
-					// Never kept-going: a fabricated context error is a
-					// programming bug, not a transient fault.
-					fail(wrapJobErr(i, job.Name, attempts, jerr))
-					return
-				}
-				res.Payloads[i] = jr.Payload // distinct index per job: no races
-				if writer != nil {
-					writer.Commit(i, jr.Payload)
-				}
-				fresh.Add(1)
-				doneCtr.Inc()
-				spec.Progress.Add(1)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		if skip[i] {
-			continue
-		}
-		select {
-		case jobs <- i:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	res.Fresh = int(fresh.Load())
-	if spec.Reg != nil {
-		if elapsed := time.Since(runStart).Seconds(); elapsed > 0 {
-			spec.Reg.Gauge("engine.jobs_per_sec").Set(float64(res.Fresh) / elapsed)
-		}
-	}
-
-	// A degraded keep-going run reports every permanent failure as one
-	// structured multi-error; the failed jobs stay out of the snapshot,
-	// so a later resume retries exactly them.
-	if len(failed) > 0 {
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Job < failed[b].Job })
-		res.Failed = failed
-		if jobErr == nil {
-			errs := make([]error, len(failed))
-			for i, fe := range failed {
-				errs[i] = fe
-			}
-			jobErr = errors.Join(errs...)
-		}
-	}
-
-	if writer != nil {
-		// The final snapshot is flushed on every path — interrupted,
-		// degraded, even failed — because whatever jobs did commit are
-		// worth keeping; and the writer's verdict is surfaced on every
-		// path too, so an exit that advertises a resumable state cannot
-		// be hiding a dead disk.
-		if ferr := writer.Flush(); ferr != nil {
-			serr := &SnapshotError{Err: ferr}
-			if jobErr == nil {
-				jobErr = serr
-			} else {
-				jobErr = errors.Join(jobErr, serr)
-			}
-		}
-		if jobErr == nil && ctx.Err() == nil && res.Done() == n {
-			// The run completed: the snapshots have served their purpose,
-			// and leaving them around would only invite a stale resume
-			// later.
-			if rerr := ckpt.RemoveGenerations(spec.Checkpoint.Path); rerr != nil {
-				fmt.Fprintf(logw, "checkpoint: completed but could not remove %s: %v\n", spec.Checkpoint.Path, rerr)
-			}
-		}
-	}
-	if jobErr != nil {
-		return res, jobErr
-	}
-	return res, ctx.Err()
-}
-
-// ResumableState returns the newest usable KindJobs snapshot generation
-// for a run with the given identity — the head, or the rotated previous
-// generation when the head is missing, corrupt, or belongs to a
-// different run — logging every fallback to logw. nil means no
-// generation is usable and the run must start fresh. It is the same
-// logic Run applies under Checkpoint.Resume, exported so alternative
-// executors of a job grid (the distributed coordinator) share one
-// resume policy with the local engine — including snapshot
-// interchangeability: either side resumes the other's file.
-func ResumableState(logw io.Writer, path string, fingerprint, seed uint64, n int64) *ckpt.State {
-	if logw == nil {
-		logw = io.Discard
-	}
-	return loadResumable(logw, path, fingerprint, seed, n)
-}
-
-// loadResumable returns the newest usable snapshot generation for this
-// run — the head, or the rotated previous generation when the head is
-// missing, corrupt, or belongs to a different run — logging every
-// fallback. nil means no generation is usable and the run starts fresh.
-func loadResumable(logw io.Writer, path string, fingerprint, seed uint64, n int64) *ckpt.State {
-	for _, p := range []string{path, ckpt.PrevGeneration(path)} {
-		loaded, lerr := ckpt.Load(p)
-		switch {
-		case errors.Is(lerr, os.ErrNotExist):
-			continue
-		case lerr != nil:
-			fmt.Fprintf(logw, "resume: snapshot unusable at %s (%v)\n", p, lerr)
-			continue
-		}
-		if cerr := loaded.Check(ckpt.KindJobs, fingerprint, seed, n, 1); cerr != nil {
-			fmt.Fprintf(logw, "resume: snapshot at %s does not match this run (%v)\n", p, cerr)
-			continue
-		}
-		fmt.Fprintf(logw, "resume: restoring %d/%d jobs from %s\n", loaded.Done(), loaded.NumBlocks, p)
-		return loaded
-	}
-	fmt.Fprintf(logw, "resume: no usable snapshot at %s; starting fresh\n", path)
-	return nil
+	p.drain(ctx, workers)
+	res.Fresh = p.fresh
+	return res, led.Finish(ctx, res, p.failed, p.err)
 }
 
 // runAttempt executes one attempt of a job under the per-attempt
 // deadline, including its artifact writes — an artifact that fails to
 // land is a failed attempt: re-running the job rewrites it, and
-// atomicio guarantees no partial file ever reaches the destination. On
-// success the result is stored in *out. timedOut reports an attempt cut
-// short by its own deadline while the run context was still live — the
+// atomicio guarantees no partial file ever reaches the destination. So
+// is a payload the run's ledger could not record. On success the
+// result is stored in *out. timedOut reports an attempt cut short by
+// its own deadline while the run context was still live — the
 // retryable flavor of context error.
-func runAttempt(ctx context.Context, job *Job, src *rng.Source, timeout time.Duration, out *JobResult) (err error, timedOut bool) {
+func runAttempt(ctx context.Context, job *Job, src *rng.Source, timeout time.Duration, led *Ledger, out *JobResult) (err error, timedOut bool) {
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -411,9 +221,10 @@ func runAttempt(ctx context.Context, job *Job, src *rng.Source, timeout time.Dur
 	}
 	jr, err := job.Run(actx, src)
 	if err == nil {
-		if aerr := writeArtifacts(jr.Artifacts); aerr != nil {
-			err = aerr
-		}
+		err = led.Admit("payload", jr.Payload)
+	}
+	if err == nil {
+		err = writeArtifacts(jr.Artifacts)
 	}
 	if err == nil {
 		*out = jr

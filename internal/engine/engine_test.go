@@ -267,8 +267,8 @@ func TestRunResumeFallbacks(t *testing.T) {
 
 	t.Run("mismatched snapshot", func(t *testing.T) {
 		path := filepath.Join(dir, "mismatch.ckpt")
-		other := ckpt.New(ckpt.KindJobs, 999, 42, 4, 1)
-		other.Blocks[0] = []byte{1}
+		other := ckpt.New(999, 42, 4)
+		other.Records[0] = []byte{1}
 		if err := other.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +291,8 @@ func TestRunResumeFallbacks(t *testing.T) {
 
 func TestRunRestoreCheckFailureAborts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	st := ckpt.New(ckpt.KindJobs, 7, 42, 4, 1)
-	st.Blocks[1] = []byte{0xde, 0xad}
+	st := ckpt.New(7, 42, 4)
+	st.Records[1] = []byte{0xde, 0xad}
 	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ const (
 type executor struct {
 	seed       uint64
 	pol        Failure
+	led        *Ledger // fails an attempt whose payload it could not record (nil: none)
 	nsPerJob   *obs.Quantiles
 	retryCtr   *obs.Counter
 	timeoutCtr *obs.Counter
@@ -41,10 +42,11 @@ type executor struct {
 
 // newExecutor binds an executor for the run's policy on reg (nil reg
 // leaves the instruments disabled).
-func newExecutor(seed uint64, pol Failure, reg *obs.Registry) *executor {
+func newExecutor(seed uint64, pol Failure, led *Ledger, reg *obs.Registry) *executor {
 	return &executor{
 		seed:       seed,
 		pol:        pol,
+		led:        led,
 		nsPerJob:   reg.Quantiles("engine.ns_per_job"),
 		retryCtr:   reg.Counter("engine.job_retries"),
 		timeoutCtr: reg.Counter("engine.job_timeouts"),
@@ -80,7 +82,7 @@ func (e *executor) runJob(ctx context.Context, i int, job *Job, ws *workerSource
 		if e.nsPerJob != nil {
 			jobStart = time.Now()
 		}
-		jerr, timedOut := runAttempt(ctx, job, src, e.pol.JobTimeout, &jr)
+		jerr, timedOut := runAttempt(ctx, job, src, e.pol.JobTimeout, e.led, &jr)
 		if e.nsPerJob != nil {
 			e.nsPerJob.Observe(float64(time.Since(jobStart)))
 		}

@@ -45,12 +45,6 @@ type Failure struct {
 	KeepGoing bool
 }
 
-// active reports whether the policy changes anything over the zero
-// value.
-func (f Failure) active() bool {
-	return f.Retries > 0 || f.JobTimeout > 0 || f.KeepGoing
-}
-
 // validate rejects nonsensical policies up front, so a bad spec fails
 // the run before any job does.
 func (f Failure) validate() error {

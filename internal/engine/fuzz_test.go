@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,15 +29,19 @@ func FuzzResumeSnapshot(f *testing.F) {
 
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
-	good := ckpt.New(ckpt.KindJobs, 7, 42, n, 1)
-	good.Blocks[0] = ref[0]
-	good.Blocks[2] = ref[2]
+	good := ckpt.New(7, 42, n)
+	good.Records[0] = ref[0]
+	good.Records[2] = ref[2]
 	f.Add(good.Encode())
-	forged := ckpt.New(ckpt.KindJobs, 7, 42, n, 1)
-	forged.Blocks[1] = []byte("wrong size payload")
+	forged := ckpt.New(7, 42, n)
+	forged.Records[1] = []byte("wrong size payload")
 	f.Add(forged.Encode())
-	wrongKind := ckpt.New(ckpt.KindStream, 7, 42, n, 1)
-	f.Add(wrongKind.Encode())
+	stream := ckpt.NewStream(7, 42)
+	stream.Frontier, stream.Sink = 2, []byte("sink state")
+	f.Add(stream.Encode())
+	for kind := byte(1); kind <= 4; kind++ {
+		f.Add(v1Image(kind, n))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
@@ -79,6 +84,25 @@ func FuzzResumeSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// v1Image assembles a version 1 snapshot of this fuzz target's run —
+// the retired per-kind layout the engine must never resume from — with
+// job 0 recorded: a 57-byte header (magic, version, CRC, kind,
+// fingerprint, seed, trials, block size, block count, completed count)
+// and one block record.
+func v1Image(kind byte, n uint64) []byte {
+	le := binary.LittleEndian
+	d := append([]byte("RKCP"), 1, 0, 0, 0, 0, 0, 0, 0, kind)
+	for _, v := range []uint64{7, 42, n, 1, n} {
+		d = le.AppendUint64(d, v)
+	}
+	d = le.AppendUint32(d, 1)
+	d = le.AppendUint32(d, 0)
+	d = le.AppendUint32(d, 8)
+	d = le.AppendUint64(d, rng.NewStream(42, 0).Uint64())
+	le.PutUint32(d[8:12], crc32.ChecksumIEEE(d[12:]))
+	return d
 }
 
 // FuzzParseFailure hammers the retry/backoff policy parser with

@@ -1,8 +1,8 @@
 package engine
 
 // JobSource is a lazy, possibly unbounded stream of jobs — the
-// generalization of Spec.Jobs that RunStream drains. The engine calls
-// Next from a single goroutine, in commit-index order (the i-th value
+// generalization of Spec.Jobs that RunStream drains. The engine never
+// calls Next concurrently and calls it in index order (the i-th value
 // returned is job i), so implementations need no locking and may derive
 // each job from an internal counter. A source must be deterministic:
 // resuming a run replays it from the start and expects the same jobs in

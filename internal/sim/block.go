@@ -22,8 +22,8 @@ import (
 // (Merge*Payloads) reproduces the corresponding MonteCarlo* aggregate
 // bit-identically — for any schedule, any worker count, and any mix of
 // restored and recomputed blocks. A block is the unit of durability:
-// engine.Run snapshots the payload of every completed block
-// (ckpt.KindJobs), and a resume re-runs only the missing ones.
+// engine.Run records the payload of every completed block in its
+// snapshot, and a resume re-runs only the missing ones.
 
 // NumMonteCarloBlocks returns the block-grid size of the
 // per-reservation runners (MonteCarlo*, MonteCarloPreemptible*).

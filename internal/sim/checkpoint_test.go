@@ -61,8 +61,8 @@ func TestRestoreRejectsMalformedPayload(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed, fp = 5, 0xb10c
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			st := ckpt.New(ckpt.KindJobs, fp, seed, 2, 1)
-			st.Blocks[1] = tc.bad
+			st := ckpt.New(fp, seed, 2)
+			st.Records[1] = tc.bad
 			if err := st.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}

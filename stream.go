@@ -15,9 +15,9 @@ import (
 // half (CampaignStream) is the paper's Monte-Carlo as such a stream.
 
 // EngineJobSource is a lazy, possibly unbounded stream of jobs — the
-// generalization of EngineSpec.Jobs. The engine pulls jobs from a single
-// goroutine in commit-index order, and a source must be deterministic:
-// resuming a run replays it from the start.
+// generalization of EngineSpec.Jobs. The engine never pulls jobs
+// concurrently and pulls them in index order, and a source must be
+// deterministic: resuming a run replays it from the start.
 type EngineJobSource = engine.JobSource
 
 // EngineStreamSink folds committed payloads in strict index order and
