@@ -38,12 +38,14 @@ var (
 func LoadRunState(path string) (*RunState, error) { return ckpt.Load(path) }
 
 // numericsEpoch names the generation of the numerical kernels behind
-// every sampled variate. ConfigFingerprint hashes it ahead of the
-// configuration facets: a kernel change moves the low bits of every
-// payload under an unchanged configuration, so snapshots and fleet
-// workers from before it must be refused, not merged. Bump it whenever
-// a kernel change moves any sampled value.
-const numericsEpoch = "numerics/1"
+// the sampled variates. ConfigFingerprint hashes it ahead of the
+// configuration facets: a kernel change moves the low bits of payloads
+// under an unchanged configuration, so snapshots and fleet workers from
+// before it must be refused, not merged. Bump it whenever a kernel
+// change moves any sampled value. numerics/1 brought the AS241 normal
+// quantile; numerics/2 samples truncated Gamma and Beta laws through
+// inversion tables, which move those draws by up to 1e-12 in u.
+const numericsEpoch = "numerics/2"
 
 // ConfigFingerprint hashes an ordered list of configuration facets,
 // preceded by the numerics epoch, into the fingerprint stored in

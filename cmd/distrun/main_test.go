@@ -254,23 +254,31 @@ func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
 
 // TestDistrunRefusesPreEpochWorker: a worker that fingerprints the run
 // without the numerics epoch (the same facets hashed the way builds
-// before the epoch hashed them) computes its payloads with older
-// numerical kernels. The coordinator must refuse it with 409, and a
-// current worker must still finish the run.
+// before the epoch hashed them), or under an earlier epoch, computes its
+// payloads with older numerical kernels. The coordinator must refuse it
+// with 409, and a current worker must still finish the run. The
+// numerics/1 worker is accepted if a kernel change forgets to bump the
+// epoch.
 func TestDistrunRefusesPreEpochWorker(t *testing.T) {
 	url, coErr, coOut := startCoordinator(t, campaignArgs...)
 
 	grid := sim.CampaignGrid(testCampaign(t), testTrials)
-	stale := ckpt.Fingerprint(
+	facets := []string{
 		"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
 		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7",
-	)
-	err := distrun.RunWorker(context.Background(), distrun.WorkerConfig{
-		URL: url, Name: "stale", NumJobs: grid.NumJobs(), Seed: 7, Fingerprint: stale, Job: grid.Job,
-	})
-	var serr *httpd.StatusError
-	if !errors.As(err, &serr) || serr.Status != 409 || !strings.Contains(serr.Message, "fingerprint") {
-		t.Fatalf("pre-epoch worker: err = %v, want a 409 fingerprint refusal", err)
+	}
+	for _, w := range []struct{ name, epoch string }{{"pre-epoch", ""}, {"numerics/1", "numerics/1"}} {
+		parts := facets
+		if w.epoch != "" {
+			parts = append([]string{w.epoch}, facets...)
+		}
+		err := distrun.RunWorker(context.Background(), distrun.WorkerConfig{
+			URL: url, Name: w.name, NumJobs: grid.NumJobs(), Seed: 7, Fingerprint: ckpt.Fingerprint(parts...), Job: grid.Job,
+		})
+		var serr *httpd.StatusError
+		if !errors.As(err, &serr) || serr.Status != 409 || !strings.Contains(serr.Message, "fingerprint") {
+			t.Fatalf("%s worker: err = %v, want a 409 fingerprint refusal", w.name, err)
+		}
 	}
 
 	wArgs := append([]string{}, campaignArgs...)

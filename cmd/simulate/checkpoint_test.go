@@ -120,9 +120,11 @@ func TestResumeMismatchedConfigStartsFresh(t *testing.T) {
 
 // TestResumeRefusesPreEpochSnapshot: a snapshot fingerprinted without
 // the numerics epoch (the same facets hashed the way builds before the
-// epoch hashed them) holds payloads from older numerical kernels, which
-// differ in their low bits. Resume must refuse it and start fresh, while
-// the same snapshot under the current fingerprint is restored.
+// epoch hashed them), or under an earlier epoch, holds payloads from
+// older numerical kernels, which differ in their low bits. Resume must
+// refuse it and start fresh, while the same snapshot under the current
+// fingerprint is restored. The numerics/1 case fails if a kernel change
+// forgets to bump the epoch.
 func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
 	args := []string{
 		"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
@@ -144,6 +146,7 @@ func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
 	}{
 		{"current", reskit.ConfigFingerprint(parts...), "resume: restoring 0/"},
 		{"pre-epoch", ckpt.Fingerprint(parts...), "does not match this run"},
+		{"numerics/1", ckpt.Fingerprint(append([]string{"numerics/1"}, parts...)...), "does not match this run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")

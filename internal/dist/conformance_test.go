@@ -205,6 +205,7 @@ func TestConformanceAllLaws(t *testing.T) {
 		Truncate(NewExponential(0.5), 1, 5),
 		Truncate(NewLogNormal(1, 0.5), 1, 6),
 		Truncate(NewGamma(2, 1), 0.5, 8),
+		Truncate(NewBeta(2, 5), 0.1, 0.9),
 	}
 	for _, d := range laws {
 		d := d

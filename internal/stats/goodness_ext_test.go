@@ -22,6 +22,10 @@ func TestKSAcceptsCorrectLaw(t *testing.T) {
 		dist.Truncate(dist.NewExponential(0.5), 1, 5),
 		dist.NewLogNormal(0.5, 0.3),
 		dist.NewWeibull(1.5, 2),
+		// Laws sampled through an inversion table.
+		dist.Truncate(dist.NewGamma(6, 0.5), 0, math.Inf(1)),
+		dist.Truncate(dist.NewGamma(2, 1), 0.5, 8),
+		dist.Truncate(dist.NewBeta(2, 5), 0.1, 0.9),
 	}
 	for i, d := range laws {
 		r := rng.New(uint64(1000 + i))
@@ -111,6 +115,10 @@ func TestAndersonDarlingAcceptsCorrectLaw(t *testing.T) {
 		dist.NewGamma(2, 1),
 		dist.Truncate(dist.NewNormal(5, 0.4), 0, math.Inf(1)),
 		dist.NewWeibull(1.5, 2),
+		// Laws sampled through an inversion table.
+		dist.Truncate(dist.NewGamma(6, 0.5), 0, math.Inf(1)),
+		dist.Truncate(dist.NewGamma(2, 1), 0.5, 8),
+		dist.Truncate(dist.NewBeta(2, 5), 0.1, 0.9),
 	}
 	for i, d := range laws {
 		r := rng.New(uint64(2000 + i))
