@@ -38,14 +38,18 @@ var (
 func LoadRunState(path string) (*RunState, error) { return ckpt.Load(path) }
 
 // numericsEpoch names the generation of the numerical kernels behind
-// the sampled variates. ConfigFingerprint hashes it ahead of the
-// configuration facets: a kernel change moves the low bits of payloads
-// under an unchanged configuration, so snapshots and fleet workers from
-// before it must be refused, not merged. Bump it whenever a kernel
-// change moves any sampled value. numerics/1 brought the AS241 normal
-// quantile; numerics/2 samples truncated Gamma and Beta laws through
-// inversion tables, which move those draws by up to 1e-12 in u.
-const numericsEpoch = "numerics/2"
+// run payloads. ConfigFingerprint hashes it ahead of the configuration
+// facets: a kernel change moves payload bits under an unchanged
+// configuration, so snapshots and fleet workers from before it must be
+// refused, not merged. Bump it whenever a kernel change moves any
+// sampled value or flips any policy decision. numerics/1 brought the
+// AS241 normal quantile; numerics/2 samples truncated Gamma and Beta
+// laws through inversion tables, which move those draws by up to 1e-12
+// in u; numerics/3 decides the dynamic rule from certified cubic cells
+// and integrates between the kinks of bounded laws, which flips
+// decisions the linear table got wrong (V11) and moves W_int for
+// truncated or uniform laws.
+const numericsEpoch = "numerics/3"
 
 // ConfigFingerprint hashes an ordered list of configuration facets,
 // preceded by the numerics epoch, into the fingerprint stored in

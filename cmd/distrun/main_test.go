@@ -257,7 +257,7 @@ func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
 // before the epoch hashed them), or under an earlier epoch, computes its
 // payloads with older numerical kernels. The coordinator must refuse it
 // with 409, and a current worker must still finish the run. The
-// numerics/1 worker is accepted if a kernel change forgets to bump the
+// numerics/2 worker is accepted if a kernel change forgets to bump the
 // epoch.
 func TestDistrunRefusesPreEpochWorker(t *testing.T) {
 	url, coErr, coOut := startCoordinator(t, campaignArgs...)
@@ -267,7 +267,9 @@ func TestDistrunRefusesPreEpochWorker(t *testing.T) {
 		"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
 		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7",
 	}
-	for _, w := range []struct{ name, epoch string }{{"pre-epoch", ""}, {"numerics/1", "numerics/1"}} {
+	for _, w := range []struct{ name, epoch string }{
+		{"pre-epoch", ""}, {"numerics/1", "numerics/1"}, {"numerics/2", "numerics/2"},
+	} {
 		parts := facets
 		if w.epoch != "" {
 			parts = append([]string{w.epoch}, facets...)

@@ -123,7 +123,7 @@ func TestResumeMismatchedConfigStartsFresh(t *testing.T) {
 // epoch hashed them), or under an earlier epoch, holds payloads from
 // older numerical kernels, which differ in their low bits. Resume must
 // refuse it and start fresh, while the same snapshot under the current
-// fingerprint is restored. The numerics/1 case fails if a kernel change
+// fingerprint is restored. The numerics/2 case fails if a kernel change
 // forgets to bump the epoch.
 func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
 	args := []string{
@@ -147,6 +147,7 @@ func TestResumeRefusesPreEpochSnapshot(t *testing.T) {
 		{"current", reskit.ConfigFingerprint(parts...), "resume: restoring 0/"},
 		{"pre-epoch", ckpt.Fingerprint(parts...), "does not match this run"},
 		{"numerics/1", ckpt.Fingerprint(append([]string{"numerics/1"}, parts...)...), "does not match this run"},
+		{"numerics/2", ckpt.Fingerprint(append([]string{"numerics/2"}, parts...)...), "does not match this run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")

@@ -174,6 +174,41 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	if bare.String() != observed.String() {
 		t.Errorf("observability changed the results:\nbare:\n%s\nobserved:\n%s", bare.String(), observed.String())
 	}
+
+	// The canonical gamma campaign decides from the coefficient table
+	// after every recovery and ends reservations in the dynamic rule's
+	// dead zone, so its run also exercises the off-table decision
+	// counters: bound by -metrics, they must leave the results as they
+	// are.
+	campaign := []string{
+		"-campaign", "-R", "29", "-task", "gamma:6,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
+		"-recovery", "1.5", "-totalwork", "500", "-trials", "1000", "-seed", "3",
+	}
+	bare.Reset()
+	if err := run(campaign, &bare); err != nil {
+		t.Fatal(err)
+	}
+	observed.Reset()
+	if err := run(append(append([]string{}, campaign...), "-metrics", path), &observed); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := campaignResultLines(observed.String()), campaignResultLines(bare.String()); got != want {
+		t.Errorf("observability changed the campaign results:\nbare:\n%s\nobserved:\n%s", want, got)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap reskit.ObsSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("metrics file is not valid JSON: %v", err)
+	}
+	if _, ok := snap.Counters["core.exact_decisions"]; !ok {
+		t.Errorf("core.exact_decisions not bound (have %v)", keys(snap.Counters))
+	}
+	if snap.Counters["core.deadzone_decisions"] <= 0 {
+		t.Errorf("core.deadzone_decisions = %d, want > 0", snap.Counters["core.deadzone_decisions"])
+	}
 }
 
 // TestCampaignBenchEmbedsMetrics checks the benchjson snapshot gains a

@@ -589,9 +589,10 @@ const (
 
 // fingerprintVersion names the key schema and the numerics behind the
 // artifacts; bump it when the fingerprint input set changes or a kernel
-// change moves table values (v2: the AS241 Normal quantile), so stale
-// store artifacts miss instead of mislead.
-const fingerprintVersion = "advise/v2"
+// change moves table values (v2: the AS241 Normal quantile; v3: dynamic
+// integrals split at the kinks of bounded laws), so stale store
+// artifacts miss instead of mislead.
+const fingerprintVersion = "advise/v3"
 
 func fpString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {

@@ -39,16 +39,20 @@ type Dynamic struct {
 	taskB dist.BatchContinuous
 
 	// Lazily built coefficient table for O(1) generalized decisions
-	// (see ShouldCheckpointAt). Builds are serialized by tableMu rather
-	// than a sync.Once so a build cancelled through Prebuild can be
-	// retried; tableReady flips to true only after tableA/tableB are
-	// fully written, so readers that observe it true may use the slices
-	// without taking the mutex. The flag is the hot-path gate: every
-	// Monte-Carlo boundary decision funnels through coefficientsAt, and
-	// an uncontended mutex there costs more than the interpolation.
+	// (see ShouldCheckpointAt): the samples tableA/tableB, and the
+	// certified cubic cells fitted to them. Builds are serialized by
+	// tableMu rather than a sync.Once so a build cancelled through
+	// Prebuild can be retried; tableReady flips to true only after the
+	// samples and cells are fully written, so readers that observe it
+	// true may use them without taking the mutex. The flag is the
+	// hot-path gate: every Monte-Carlo boundary decision funnels through
+	// cellAt, and an uncontended mutex there costs more than the
+	// interpolation.
 	tableMu        sync.Mutex
 	tableReady     atomic.Bool
 	tableA, tableB []float64
+	cells          []coeffCell
+	cellsPerUnit   float64 // GridSize / R: budget to cell coordinate
 }
 
 // NewDynamic builds the dynamic problem for a continuous task law
@@ -161,7 +165,33 @@ func (d *Dynamic) expectedContinue(work, budget float64) float64 {
 			out[i] = (x + work) * c * ps[i]
 		}
 	}
-	return quad.KronrodBatch(integrand, 0, budget, 1e-12, 1e-10).Value
+	return d.integrate(integrand, budget)
+}
+
+// integrate returns the batched Kronrod integral over [0, budget] of an
+// integrand carrying the factors P(C <= budget-x) and f_X(x), at the
+// tolerance (1e-12, 1e-10) of every dynamic integral. It integrates only
+// where both factors can be nonzero, [max(0, lo_X), min(budget, hi_X,
+// budget-lo_C)], and splits that range at budget-hi_C: the ends of the
+// task support are jumps of f_X, and budget-lo_C and budget-hi_C are
+// kinks of the checkpoint CDF. Inside the pieces the integrand is
+// smooth, so the adaptive error estimate holds; across a jump or kink
+// it can miss by orders of magnitude (6.6e-4 on Gamma(2,1)|[0.5,8]).
+// For laws supported on [0, inf), the paper's, the range is [0, budget]
+// in one piece.
+func (d *Dynamic) integrate(f quad.BatchFunc, budget float64) float64 {
+	taskLo, taskHi := d.Task.Support()
+	ckptLo, ckptHi := d.Ckpt.Support()
+	lo := math.Max(0, taskLo)
+	hi := math.Min(math.Min(budget, taskHi), budget-ckptLo)
+	if !(hi > lo) {
+		return 0
+	}
+	if mid := budget - ckptHi; lo < mid && mid < hi {
+		return quad.KronrodBatch(f, lo, mid, 1e-12, 1e-10).Value +
+			quad.KronrodBatch(f, mid, hi, 1e-12, 1e-10).Value
+	}
+	return quad.KronrodBatch(f, lo, hi, 1e-12, 1e-10).Value
 }
 
 // ShouldCheckpoint reports whether, with work w accumulated, the expected
@@ -185,10 +215,15 @@ func (d *Dynamic) ShouldCheckpoint(w float64) bool {
 //	A(b) = P(C <= b) - Integral_0^b P(C <= b - x) f_X(x) dx   (>= 0)
 //	B(b) = Integral_0^b x * P(C <= b - x) f_X(x) dx           (>= 0)
 //
-// so the decision reduces to work*A >= B. A and B are precomputed once
-// on a budget grid and interpolated, making the per-boundary decision
-// O(1) in large Monte-Carlo runs; states within interpolation tolerance
-// of the indifference line fall back to the exact integrals.
+// so the decision reduces to work*A >= B. A and B are sampled once on a
+// budget grid and interpolated by a cubic per cell that carries error
+// bounds eA, eB (see certify), making the per-boundary decision O(1) in
+// large Monte-Carlo runs. The table decides whenever
+// |work*a - b| > work*eA + eB, where its sign is certain. Inside that
+// band, a state whose work*A and B are both below tieFloor is a tie —
+// the two options are worth the same to within 1e-9, below what the
+// exact integrals resolve — and the paper's >= makes a tie a
+// checkpoint; any other state re-runs the exact integrals.
 func (d *Dynamic) ShouldCheckpointAt(work, elapsed float64) bool {
 	budget := d.R - elapsed
 	if budget <= 0 {
@@ -197,43 +232,68 @@ func (d *Dynamic) ShouldCheckpointAt(work, elapsed float64) bool {
 	if work <= 0 {
 		// Nothing to commit: checkpoint only if one more task is also
 		// worthless.
+		countExactDecision()
 		return d.expectedContinue(0, budget) <= 0
 	}
-	a, b := d.coefficientsAt(budget)
+	c, t := d.cellAt(budget)
+	a, b := c.at(t)
 	diff := work*a - b
-	// Interpolation of A and B is accurate to ~1e-4 of their scale;
-	// re-evaluate exactly near the indifference line.
-	if math.Abs(diff) < 1e-3*(1+b) {
-		ec := work * d.ckptProb(budget)
-		return ec >= d.expectedContinue(work, budget)
+	if tol := work*c.ea + c.eb; diff > tol || diff < -tol {
+		return diff > 0
 	}
-	return diff >= 0
+	if work*(a+c.ea) <= tieFloor && b+c.eb <= tieFloor {
+		countDeadZoneDecision()
+		return true
+	}
+	countExactDecision()
+	return work*d.ckptProb(budget) >= d.expectedContinue(work, budget)
 }
 
+// tieFloor is the dead-zone level of ShouldCheckpointAt. Where work*A and
+// B are both certified below it, |E(W_C) - E(W_+1)| <= tieFloor: the
+// reservation is about to close, neither option can save anything, and
+// the exact rule would only compare quadrature noise (the integrals
+// carry an absolute tolerance of 1e-12 per evaluation).
+const tieFloor = 1e-9
+
 // dynamicGridSize is the budget-grid resolution of the coefficient
-// table; interpolation across one cell of R/1024 is far below the
-// decision tolerance.
+// table. Its cells are R/1024 wide, so the interpolation error grows
+// with R: the cubics are within 3.3e-7 of A and B on the R = 29 paper
+// instances and within 1.4e-4 on V11 (R = 100, where work*A multiplies
+// it by ~95). No fixed tolerance covers both; the per-cell bounds do,
+// and they set how close to the indifference line a state must be to
+// need the exact integrals. At 128 cells the error is 1.2e-3 (R = 29).
 const dynamicGridSize = 1024
 
-// coefficientsAt returns A(budget) and B(budget), building the lookup
-// table on first use. After the first build the lookup is lock-free.
-func (d *Dynamic) coefficientsAt(budget float64) (a, b float64) {
+// coeffCell is one cell [b_j, b_j+1] of the certified coefficient
+// table: A and B as cubics in the cell coordinate t in [0, 1]
+// (a[0] + a[1]t + a[2]t² + a[3]t³, likewise b) with their error bounds.
+type coeffCell struct {
+	a, b   [4]float64
+	ea, eb float64
+}
+
+// at evaluates the cell's interpolants of A and B at t.
+func (c *coeffCell) at(t float64) (a, b float64) {
+	a = ((c.a[3]*t+c.a[2])*t+c.a[1])*t + c.a[0]
+	b = ((c.b[3]*t+c.b[2])*t+c.b[1])*t + c.b[0]
+	return a, b
+}
+
+// cellAt returns the cell holding budget and the cell coordinate t of
+// budget in it, building the table on first use. After the first build
+// the lookup is lock-free. Budgets at or past R evaluate the last cell
+// at its right end, which is the sample at R.
+func (d *Dynamic) cellAt(budget float64) (*coeffCell, float64) {
 	if !d.tableReady.Load() {
 		d.ensureTable(context.Background()) //nolint:errcheck // background ctx never cancels
 	}
-	if budget >= d.R {
-		n := dynamicGridSize
-		return d.tableA[n], d.tableB[n]
+	pos := budget * d.cellsPerUnit
+	if pos >= dynamicGridSize {
+		return &d.cells[dynamicGridSize-1], 1
 	}
-	pos := budget / d.R * dynamicGridSize
 	i := int(pos)
-	if i >= dynamicGridSize {
-		i = dynamicGridSize - 1
-	}
-	frac := pos - float64(i)
-	a = d.tableA[i] + frac*(d.tableA[i+1]-d.tableA[i])
-	b = d.tableB[i] + frac*(d.tableB[i+1]-d.tableB[i])
-	return a, b
+	return &d.cells[i], pos - float64(i)
 }
 
 // Prebuild computes the coefficient table eagerly, honoring ctx: grid
@@ -267,11 +327,135 @@ func (d *Dynamic) ensureTable(ctx context.Context) error {
 		// starts clean.
 		return err
 	}
-	d.tableA, d.tableB = a, b
-	// Store-release: publishes the slice writes above to lock-free
-	// readers in coefficientsAt.
-	d.tableReady.Store(true)
+	d.publishTable(a, b)
 	return nil
+}
+
+// publishTable installs the samples a, b (which it takes ownership of)
+// with the cells certified from them, then flips tableReady. Callers
+// hold tableMu. A built table and an installed copy of it go through
+// here alike, so they decide bit-identically.
+func (d *Dynamic) publishTable(a, b []float64) {
+	d.tableA, d.tableB = a, b
+	d.cells = d.certify(a, b)
+	d.cellsPerUnit = dynamicGridSize / d.R
+	// Store-release: publishes the writes above to lock-free readers in
+	// cellAt.
+	d.tableReady.Store(true)
+}
+
+// certify fits the cubic cells to the samples a, b of A and B on the
+// grid b_k = R*k/GridSize, with no further integrals. Cell j
+// interpolates the four samples of its stencil, k = j-1..j+2 (shifted
+// to 0..3 and N-3..N in the two edge cells), and bounds the error of
+// each cubic by
+//
+//	e = kink * max|Δ⁴| + 2 * max tau_k
+//
+// where:
+//   - max|Δ⁴| is the largest fourth difference y_k - 4y_k+1 + 6y_k+2 -
+//     4y_k+3 + y_k+4 over the four five-point stencils nearest the
+//     cell, k = j-3..j (shifted inward at the ends of the grid).
+//   - kink = 3/8, and 1 in the two cells at either end of the grid, is
+//     the largest ratio of the cubic's error to that max|Δ⁴| for a
+//     function with one jump in its value or in any of its first three
+//     derivatives anywhere in the stencils: truncated, uniform or
+//     discrete laws put such kinks in A and B. On a smooth stretch
+//     Δ⁴ = h⁴f⁽⁴⁾ and the ratio is the remainder constant max|ω|/24 =
+//     3/128 (1/24 in the edge cells), so there kink carries a safety
+//     factor of 16 (24).
+//   - tau_k = max(1e-12, 1e-10*|v_k|) is the tolerance each sample's
+//     integral was computed to (quad.KronrodBatch's absolute and
+//     relative tolerance, v_k its value: B_k, and P(C <= b_k) - A_k for
+//     A); the factor 2 bounds the stencil's Lebesgue constant (1.25
+//     inside, 1.63 in the edge cells) with room for the tolerance of
+//     an exact evaluation compared against the interpolant.
+func (d *Dynamic) certify(a, b []float64) []coeffCell {
+	n := dynamicGridSize
+	tauA := make([]float64, n+1)
+	tauB := make([]float64, n+1)
+	for k := range tauA {
+		sumP := d.ckptProb(d.R*float64(k)/float64(n)) - a[k]
+		tauA[k] = quadTolerance(sumP)
+		tauB[k] = quadTolerance(b[k])
+	}
+	d4A, d4B := fourthDiffs(a), fourthDiffs(b)
+	cells := make([]coeffCell, n)
+	for j := range cells {
+		s := min(max(j-1, 0), n-3)
+		off := j - s
+		c := &cells[j]
+		c.a = cubicCell(a[s:s+4], off)
+		c.b = cubicCell(b[s:s+4], off)
+		kink := 3.0 / 8
+		if j < 2 || j >= n-2 {
+			kink = 1
+		}
+		lo := min(max(j-3, 0), n-7)
+		c.ea = kink*maxOf(d4A[lo:lo+4]) + 2*maxOf(tauA[s:s+4])
+		c.eb = kink*maxOf(d4B[lo:lo+4]) + 2*maxOf(tauB[s:s+4])
+	}
+	return cells
+}
+
+// quadTolerance is the error allowance of a KronrodBatch integral of
+// value v computed at (absTol, relTol) = (1e-12, 1e-10), as every
+// coefficient sample is.
+func quadTolerance(v float64) float64 {
+	return math.Max(1e-12, 1e-10*math.Abs(v))
+}
+
+// cubicCell returns the power-basis coefficients, in the cell coordinate
+// t, of the cubic through the four samples y at t = -off, 1-off, 2-off,
+// 3-off. The cell's left sample y[off] sits at t = 0, so the constant
+// term is that sample exactly.
+func cubicCell(y []float64, off int) [4]float64 {
+	c := [4]float64{y[off]}
+	for p, m := range cubicBasis[off] {
+		c[p+1] = m[0]*y[0] + m[1]*y[1] + m[2]*y[2] + m[3]*y[3]
+	}
+	return c
+}
+
+// cubicBasis[off][p-1][k] is the t^p coefficient, p = 1..3, of the k-th
+// Lagrange basis polynomial on the nodes t = -off, 1-off, 2-off, 3-off.
+var cubicBasis = [3][3][4]float64{
+	{ // nodes 0, 1, 2, 3: the first cell
+		{-11.0 / 6, 3, -1.5, 1.0 / 3},
+		{1, -2.5, 2, -0.5},
+		{-1.0 / 6, 0.5, -0.5, 1.0 / 6},
+	},
+	{ // nodes -1, 0, 1, 2: interior cells
+		{-1.0 / 3, -0.5, 1, -1.0 / 6},
+		{0.5, -1, 0.5, 0},
+		{-1.0 / 6, 0.5, -0.5, 1.0 / 6},
+	},
+	{ // nodes -2, -1, 0, 1: the last cell
+		{1.0 / 6, -1, 0.5, 1.0 / 3},
+		{0, 0.5, -1, 0.5},
+		{-1.0 / 6, 0.5, -0.5, 1.0 / 6},
+	},
+}
+
+// fourthDiffs returns |Δ⁴y_k| for every five-point stencil k..k+4 of y.
+func fourthDiffs(y []float64) []float64 {
+	d := make([]float64, len(y)-4)
+	for k := range d {
+		d[k] = math.Abs(y[k] - 4*y[k+1] + 6*y[k+2] - 4*y[k+3] + y[k+4])
+	}
+	return d
+}
+
+// maxOf returns the largest of xs, or NaN if any is NaN, so a NaN sample
+// leaves its cells no certified band and sends them to the exact rule.
+func maxOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m || math.IsNaN(x) {
+			m = x
+		}
+	}
+	return m
 }
 
 // exactCoefficients evaluates A(b) and B(b) by batched quadrature (or
@@ -322,18 +506,18 @@ func (d *Dynamic) exactCoefficients(budget float64) (a, b float64) {
 		}
 		return cs, ps
 	}
-	sumP := quad.KronrodBatch(func(xs, out []float64) {
+	sumP := d.integrate(func(xs, out []float64) {
 		cs, ps := kernel(xs)
 		for i := range xs {
 			out[i] = cs[i] * ps[i]
 		}
-	}, 0, budget, 1e-12, 1e-10).Value
-	sumXP := quad.KronrodBatch(func(xs, out []float64) {
+	}, budget)
+	sumXP := d.integrate(func(xs, out []float64) {
 		cs, ps := kernel(xs)
 		for i, x := range xs {
 			out[i] = x * cs[i] * ps[i]
 		}
-	}, 0, budget, 1e-12, 1e-10).Value
+	}, budget)
 	return pc - sumP, sumXP
 }
 
@@ -391,10 +575,7 @@ func (d *Dynamic) InstallTable(t CoeffTable) error {
 	b := make([]float64, len(t.B))
 	copy(a, t.A)
 	copy(b, t.B)
-	d.tableA, d.tableB = a, b
-	// Store-release, exactly like ensureTable: publishes the slices to
-	// lock-free readers in coefficientsAt.
-	d.tableReady.Store(true)
+	d.publishTable(a, b)
 	return nil
 }
 

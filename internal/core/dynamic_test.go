@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"reskit/internal/dist"
+	"reskit/internal/lawspec"
+	"reskit/internal/obs"
 	"reskit/internal/quad"
 )
 
@@ -167,29 +170,205 @@ func TestDynamicConstructorValidation(t *testing.T) {
 	}
 }
 
+// v11Dynamic is the V11 instance (R = 100, the failure-regime
+// benchmark), where work reaches ~95 and a coefficient error is
+// multiplied by it in work*A - B.
+func v11Dynamic() *Dynamic {
+	return NewDynamic(100, dist.Truncate(dist.NewNormal(3, 0.5), 0, math.Inf(1)), paperCkpt(2, 0.3))
+}
+
 func TestCoefficientTableMatchesExactRule(t *testing.T) {
-	// The table-interpolated decision must agree with the exact
-	// expectation comparison everywhere except within tolerance of the
-	// indifference line (where both options have equal value anyway).
-	cases := []*Dynamic{
-		NewDynamic(29, dist.Truncate(dist.NewNormal(3, 0.5), 0, math.Inf(1)), paperCkpt(5, 0.4)),
-		NewDynamic(10, dist.NewGamma(1, 0.5), paperCkpt(2, 0.4)),
-		NewDynamicDiscrete(29, dist.NewPoisson(3), paperCkpt(5, 0.4)),
+	// The table decision must equal the exact expectation comparison at
+	// every probe where the two options differ by more than the
+	// quadrature can resolve: the certified bound sends every closer
+	// state to the exact integrals or, below the noise floor, to the
+	// >= tie. The V11 probes sit where linear interpolation, with its
+	// fixed 1e-3 band, checkpointed against the rule (work 93.408 at
+	// elapsed 93.908: E(W_C) = 93.408 < E(W_+1) = 93.433).
+	type probe struct{ work, elapsed float64 }
+	cases := []struct {
+		d      *Dynamic
+		probes []probe
+	}{
+		{d: NewDynamic(29, dist.Truncate(dist.NewNormal(3, 0.5), 0, math.Inf(1)), paperCkpt(5, 0.4))},
+		{d: NewDynamic(10, dist.NewGamma(1, 0.5), paperCkpt(2, 0.4))},
+		{d: NewDynamicDiscrete(29, dist.NewPoisson(3), paperCkpt(5, 0.4))},
+		{d: v11Dynamic(), probes: []probe{{93.408, 93.908}}},
 	}
-	for _, d := range cases {
+	for work := 92.9; work <= 93.9; work += 0.005 {
+		for _, gap := range []float64{0.25, 0.5, 0.75} {
+			cases[3].probes = append(cases[3].probes, probe{work, work + gap})
+		}
+	}
+	for _, c := range cases {
+		d := c.d
 		for i := 1; i < 40; i++ {
 			elapsed := d.R * float64(i) / 41
 			for j := 1; j < 20; j++ {
-				work := elapsed * float64(j) / 20
-				budget := d.R - elapsed
-				ecExact := work * d.ckptProb(budget)
-				e1Exact := d.expectedContinue(work, budget)
-				exact := ecExact >= e1Exact
-				fast := d.ShouldCheckpointAt(work, elapsed)
-				if fast != exact && math.Abs(ecExact-e1Exact) > 1e-3*(1+e1Exact) {
-					t.Fatalf("R=%g: mismatch at work=%.3f elapsed=%.3f (EC=%g E1=%g)",
-						d.R, work, elapsed, ecExact, e1Exact)
+				c.probes = append(c.probes, probe{elapsed * float64(j) / 20, elapsed})
+			}
+		}
+		// Both sides of the indifference line work*A = B, close enough
+		// that an interpolation error outside the bound flips a sign.
+		for i := 1; i < 400; i++ {
+			budget := d.R * float64(i) / 400
+			a, b := d.exactCoefficients(budget)
+			for _, rel := range []float64{-1e-4, -1e-5, 1e-5, 1e-4} {
+				if work := b / a * (1 + rel); a > 0 && work > 0 && work <= d.R-budget {
+					c.probes = append(c.probes, probe{work, d.R - budget})
 				}
+			}
+		}
+		for _, p := range c.probes {
+			budget := d.R - p.elapsed
+			ecExact := p.work * d.ckptProb(budget)
+			e1Exact := d.expectedContinue(p.work, budget)
+			exact := ecExact >= e1Exact
+			fast := d.ShouldCheckpointAt(p.work, p.elapsed)
+			if fast != exact && math.Abs(ecExact-e1Exact) > 1e-9*(1+e1Exact) {
+				t.Errorf("R=%g: table %v, exact %v at work=%.3f elapsed=%.3f (EC=%.6f E1=%.6f)",
+					d.R, fast, exact, p.work, p.elapsed, ecExact, e1Exact)
+			}
+		}
+	}
+}
+
+func parseLaw(t *testing.T, spec string) dist.Continuous {
+	t.Helper()
+	l, err := lawspec.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// certifiedInstances are the dynamic problems whose certified cells are
+// checked against the exact coefficients: the paper's Figures 8–10, the
+// e2ebench campaign laws, V11, a truncation with kinks in the task
+// density, and the cmd/advise test key, whose uniform checkpoint law
+// puts kinks in A itself, once more with the kink next to the grid's
+// end.
+func certifiedInstances(t *testing.T) []struct {
+	name string
+	d    *Dynamic
+} {
+	law := func(spec string) dist.Continuous { return parseLaw(t, spec) }
+	return []struct {
+		name string
+		d    *Dynamic
+	}{
+		{"fig8", NewDynamic(29, law("norm:3,0.5@[0,inf]"), paperCkpt(5, 0.4))},
+		{"fig9", NewDynamic(10, dist.NewGamma(1, 0.5), paperCkpt(2, 0.4))},
+		{"fig10-poisson", NewDynamicDiscrete(29, dist.NewPoisson(3), paperCkpt(5, 0.4))},
+		{"campaign-gamma", NewDynamic(29, law("gamma:6,0.5@[0,inf]"), law("norm:5,0.4@[0,inf]"))},
+		{"v11", v11Dynamic()},
+		{"gamma-trunc", NewDynamic(29, law("gamma:2,1@[0.5,8]"), paperCkpt(5, 0.4))},
+		{"advise-key", NewDynamic(10, law("exp:0.3"), law("uniform:0.3,0.7"))},
+		// The kink of P(C <= b) at b = 0.001 lies in the first cell,
+		// whose stencils are one-sided.
+		{"edge-kink", NewDynamic(10, law("exp:0.3"), law("uniform:0.001,0.5"))},
+	}
+}
+
+func TestCertifiedBoundsHoldAtProbes(t *testing.T) {
+	// The interpolants must sit within their cells' bounds of the exact
+	// coefficients at both quarter points and the midpoint of every
+	// cell, where the cubic's error peaks.
+	for _, in := range certifiedInstances(t) {
+		d := in.d
+		t.Run(in.name, func(t *testing.T) {
+			if err := d.Prebuild(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			worst := make([]float64, GridSize) // largest error/bound per cell
+			parallelFor(0, GridSize-1, func(j int) {
+				c := &d.cells[j]
+				for _, tq := range []float64{0.25, 0.5, 0.75} {
+					a, b := d.exactCoefficients(d.R * (float64(j) + tq) / GridSize)
+					ia, ib := c.at(tq)
+					worst[j] = math.Max(worst[j], math.Max(math.Abs(ia-a)/c.ea, math.Abs(ib-b)/c.eb))
+				}
+			})
+			var largest float64
+			for j, w := range worst {
+				if !(w <= 1) {
+					t.Errorf("cell %d: error is %.3g of its bound (eA %.3g, eB %.3g)", j, w, d.cells[j].ea, d.cells[j].eb)
+				}
+				largest = math.Max(largest, w)
+			}
+			t.Logf("largest error/bound %.3f", largest)
+		})
+	}
+}
+
+func TestExactBandScalesWithWork(t *testing.T) {
+	// The band left to the exact integrals is work*eA + eB, because an
+	// error in A reaches the decision multiplied by the work. On V11,
+	// where work reaches ~95, a state at half that band from the line,
+	// outside a band blind to the work factor (eA + eB, or the old
+	// 1e-3*(1+B)), must still re-run the integrals.
+	d := v11Dynamic()
+	exact := new(obs.Counter)
+	ObserveDecisions(exact, nil)
+	defer ObserveDecisions(nil, nil)
+	probes := 0
+	for elapsed := 85.0; elapsed < 97; elapsed += 0.05 {
+		c, tq := d.cellAt(d.R - elapsed)
+		a, b := c.at(tq)
+		// work*a - b = (work*eA + eB)/2
+		work := (b + c.eb/2) / (a - c.ea/2)
+		if !(work > 0 && work <= elapsed && (work*c.ea+c.eb)/2 > c.ea+c.eb) {
+			continue
+		}
+		before := exact.Value()
+		d.ShouldCheckpointAt(work, elapsed)
+		if exact.Value() != before+1 {
+			t.Errorf("work %g elapsed %g, half the band from the line: decided from the table", work, elapsed)
+		}
+		probes++
+	}
+	if probes < 10 {
+		t.Fatalf("only %d probes", probes)
+	}
+}
+
+func TestDynamicIntegralsSplitAtKinks(t *testing.T) {
+	// Across a jump of the task density or a kink of the checkpoint CDF
+	// the adaptive error estimate can miss: over [0, budget] in one
+	// piece, Gamma(2,1)|[0.5,8] at budget 18.8188 gave A = -3.6e-5 and
+	// sum P > 1. Integrated between the kinks, the coefficients must
+	// match a scalar reference split the same way and held to 100x
+	// tighter tolerances.
+	law := func(spec string) dist.Continuous { return parseLaw(t, spec) }
+	cases := []*Dynamic{
+		NewDynamic(29, law("gamma:2,1@[0.5,8]"), paperCkpt(5, 0.4)),
+		NewDynamic(10, law("exp:0.3"), law("uniform:0.3,0.7")),
+		NewDynamic(60, law("exp:0.05"), law("uniform:1,3")),
+	}
+	for _, d := range cases {
+		taskLo, taskHi := d.Task.Support()
+		ckptLo, ckptHi := d.Ckpt.Support()
+		for k := 1; k <= 400; k++ {
+			budget := d.R * (float64(k) - 0.5) / 400
+			cuts := []float64{0, budget}
+			for _, x := range []float64{taskLo, taskHi, budget - ckptLo, budget - ckptHi} {
+				if x > 0 && x < budget {
+					cuts = append(cuts, x)
+				}
+			}
+			sort.Float64s(cuts)
+			var sumP, sumXP float64
+			for i := 0; i+1 < len(cuts); i++ {
+				sumP += quad.Kronrod(func(x float64) float64 {
+					return d.ckptProb(budget-x) * d.Task.PDF(x)
+				}, cuts[i], cuts[i+1], 1e-14, 1e-12).Value
+				sumXP += quad.Kronrod(func(x float64) float64 {
+					return x * d.ckptProb(budget-x) * d.Task.PDF(x)
+				}, cuts[i], cuts[i+1], 1e-14, 1e-12).Value
+			}
+			a, b := d.exactCoefficients(budget)
+			if wantA := d.ckptProb(budget) - sumP; math.Abs(a-wantA) > 1e-10 || math.Abs(b-sumXP) > 1e-10*(1+sumXP) {
+				t.Errorf("R=%g budget %g: A %.15g B %.15g, reference %.15g %.15g", d.R, budget, a, b, wantA, sumXP)
 			}
 		}
 	}
@@ -294,6 +473,16 @@ func TestTableExtractInstallBitIdentical(t *testing.T) {
 	for i := range warm.tableA {
 		if warm.tableA[i] != built.tableA[i] || warm.tableB[i] != built.tableB[i] {
 			t.Fatalf("installed table differs at %d", i)
+		}
+	}
+	// The certified cells are derived from the samples alone, so an
+	// installed table carries the very cells and bounds of the build.
+	if warm.cellsPerUnit != built.cellsPerUnit {
+		t.Fatalf("cell scale %g, built %g", warm.cellsPerUnit, built.cellsPerUnit)
+	}
+	for j := range built.cells {
+		if warm.cells[j] != built.cells[j] {
+			t.Fatalf("installed cell %d differs: %+v vs %+v", j, warm.cells[j], built.cells[j])
 		}
 	}
 	for work := 0.0; work <= 29; work += 0.37 {

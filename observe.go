@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"reskit/internal/core"
 	"reskit/internal/obs"
 	"reskit/internal/optimize"
 	"reskit/internal/quad"
@@ -80,10 +81,15 @@ func CountedStrategy(s Strategy, reg *ObsRegistry) Strategy {
 }
 
 // ObserveQuadrature binds the process-global integrand-evaluation
-// counter of the quadrature kernels to "quad.evals" on reg; a nil
-// registry disables it. Counting never affects numerical results.
+// counter of the quadrature kernels to "quad.evals" on reg, and the
+// dynamic rule's off-table decision counters to "core.exact_decisions"
+// (decisions that re-ran the exact integrals) and
+// "core.deadzone_decisions" (ties settled as a checkpoint without
+// them); a nil registry disables them. Counting never affects numerical
+// results.
 func ObserveQuadrature(reg *ObsRegistry) {
 	quad.ObserveEvals(reg.Counter("quad.evals"))
+	core.ObserveDecisions(reg.Counter("core.exact_decisions"), reg.Counter("core.deadzone_decisions"))
 }
 
 // ObserveOptimize binds the process-global root-finder resilience
