@@ -177,8 +177,8 @@ func runSuite(wls []workload, workers []int, reps int, scale float64, stderr io.
 			row := tm.Result(wl.name, w)
 			if i == 0 {
 				ns1 = tm.NsPerTrial
-			} else if tm.NsPerTrial > 0 {
-				row.SpeedupVs1Worker = ns1 / tm.NsPerTrial
+			} else {
+				row.SpeedupVs1Worker = benchkit.Speedup(ns1, tm.NsPerTrial, w)
 			}
 			rows = append(rows, row)
 			aggs = append(aggs, agg)

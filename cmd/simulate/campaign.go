@@ -350,8 +350,8 @@ func writeCampaignBench(ctx context.Context, out io.Writer, cfg reskit.CampaignC
 		row := tm.Result("campaign", w)
 		if i == 0 {
 			ns1 = tm.NsPerTrial
-		} else if tm.NsPerTrial > 0 {
-			row.SpeedupVs1Worker = ns1 / tm.NsPerTrial
+		} else {
+			row.SpeedupVs1Worker = benchkit.Speedup(ns1, tm.NsPerTrial, w)
 		}
 		row.Metrics = engineMetrics(ob)
 		if row.Metrics == nil {

@@ -54,7 +54,8 @@ type Result struct {
 	AllocsPerTrial float64 `json:"allocs_per_trial"`
 	BytesPerTrial  float64 `json:"bytes_per_trial"`
 	// SpeedupVs1Worker is NsPerTrial(1 worker) / NsPerTrial(this row),
-	// filled by callers that sweep workers; 0 when not applicable.
+	// filled by callers that sweep workers through Speedup; 0 when not
+	// applicable or when the host has fewer CPUs than Workers.
 	SpeedupVs1Worker float64 `json:"speedup_vs_1_worker,omitempty"`
 	// BitIdenticalAcrossWorkers records that the workload re-ran at
 	// every swept worker count produced byte-identical aggregates.
@@ -75,6 +76,18 @@ func (r Result) Key() string {
 		return r.Name
 	}
 	return fmt.Sprintf("%s@w%d", r.Name, r.Workers)
+}
+
+// Speedup returns ns1/ns, the speedup of a row timed at `workers`
+// workers over the 1-worker row's ns1 ns/trial. It returns 0, which
+// leaves Result.SpeedupVs1Worker out of the snapshot, when the host has
+// fewer CPUs than workers: such a row measures oversubscription of the
+// host, not parallel speedup.
+func Speedup(ns1, ns float64, workers int) float64 {
+	if !(ns > 0) || runtime.NumCPU() < workers {
+		return 0
+	}
+	return ns1 / ns
 }
 
 // Header is the environment block every benchmark artifact carries:

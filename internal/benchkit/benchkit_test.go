@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,19 @@ func TestMinOfAllocAccounting(t *testing.T) {
 	}
 	if tm.AllocsPerTrial <= 0 {
 		t.Errorf("AllocsPerTrial = %g, want > 0", tm.AllocsPerTrial)
+	}
+}
+
+func TestSpeedupNeedsTheCores(t *testing.T) {
+	n := runtime.NumCPU()
+	if got := Speedup(40, 10, n); got != 4 {
+		t.Errorf("Speedup(40, 10, NumCPU) = %g, want 4", got)
+	}
+	if got := Speedup(40, 10, n+1); got != 0 {
+		t.Errorf("Speedup at %d workers on %d CPUs = %g, want 0 (omitted)", n+1, n, got)
+	}
+	if got := Speedup(40, 0, 1); got != 0 {
+		t.Errorf("Speedup of an untimed row = %g, want 0", got)
 	}
 }
 

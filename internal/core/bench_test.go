@@ -76,8 +76,9 @@ var decisionSink bool
 //     interpolation re-ran the exact integrals;
 //   - deadzone: budgets under 2, where no checkpoint fits.
 //
-// exact/op and deadzone/op report the share of decisions that left the
-// table.
+// guarded/op reports the share of decisions the cell's guard settled
+// without the cubics, counted outside the timed loop; exact/op and
+// deadzone/op the share that left the table.
 func BenchmarkShouldCheckpointAt(b *testing.B) {
 	type state struct{ work, elapsed float64 }
 	for _, inst := range []struct {
@@ -124,6 +125,16 @@ func BenchmarkShouldCheckpointAt(b *testing.B) {
 					st := set.states[i%len(set.states)]
 					decisionSink = d.ShouldCheckpointAt(st.work, st.elapsed)
 				}
+				b.StopTimer()
+				guarded := 0
+				for i := 0; i < b.N; i++ {
+					st := set.states[i%len(set.states)]
+					j, _ := d.cellAt(d.R - st.elapsed)
+					if g := d.guards[j]; st.work < g.lo || st.work > g.hi {
+						guarded++
+					}
+				}
+				b.ReportMetric(float64(guarded)/float64(b.N), "guarded/op")
 				b.ReportMetric(float64(exact.Value())/float64(b.N), "exact/op")
 				b.ReportMetric(float64(dead.Value())/float64(b.N), "deadzone/op")
 			})

@@ -39,19 +39,22 @@ type Dynamic struct {
 	taskB dist.BatchContinuous
 
 	// Lazily built coefficient table for O(1) generalized decisions
-	// (see ShouldCheckpointAt): the samples tableA/tableB, and the
-	// certified cubic cells fitted to them. Builds are serialized by
-	// tableMu rather than a sync.Once so a build cancelled through
-	// Prebuild can be retried; tableReady flips to true only after the
-	// samples and cells are fully written, so readers that observe it
-	// true may use them without taking the mutex. The flag is the
-	// hot-path gate: every Monte-Carlo boundary decision funnels through
-	// cellAt, and an uncontended mutex there costs more than the
-	// interpolation.
+	// (see ShouldCheckpointAt): the samples tableA/tableB, the certified
+	// cubic cells fitted to them, and each cell's decision guard, kept
+	// in a slice of their own so the 16 KB that nearly every decision
+	// reads stay dense in cache. Builds are serialized by tableMu rather
+	// than a sync.Once so a build cancelled through Prebuild can be
+	// retried; tableReady flips to true only after the samples, cells
+	// and guards are fully written, so readers that observe it true may
+	// use them without taking the mutex. The flag is the hot-path gate:
+	// every Monte-Carlo boundary decision funnels through
+	// ShouldCheckpointAt, and an uncontended mutex there costs more than
+	// the decision.
 	tableMu        sync.Mutex
 	tableReady     atomic.Bool
 	tableA, tableB []float64
 	cells          []coeffCell
+	guards         []decisionGuard
 	cellsPerUnit   float64 // GridSize / R: budget to cell coordinate
 }
 
@@ -165,11 +168,12 @@ func (d *Dynamic) expectedContinue(work, budget float64) float64 {
 			out[i] = (x + work) * c * ps[i]
 		}
 	}
-	return d.integrate(integrand, budget)
+	return integrateBetweenKinks(integrand, budget, d.Task, d.Ckpt)
 }
 
-// integrate returns the batched Kronrod integral over [0, budget] of an
-// integrand carrying the factors P(C <= budget-x) and f_X(x), at the
+// integrateBetweenKinks returns the batched Kronrod integral over
+// [0, budget] of an integrand carrying the factors P(C <= budget-x) and
+// f_X(x), for task law `task` and checkpoint law `ckpt`, at the
 // tolerance (1e-12, 1e-10) of every dynamic integral. It integrates only
 // where both factors can be nonzero, [max(0, lo_X), min(budget, hi_X,
 // budget-lo_C)], and splits that range at budget-hi_C: the ends of the
@@ -179,9 +183,9 @@ func (d *Dynamic) expectedContinue(work, budget float64) float64 {
 // it can miss by orders of magnitude (6.6e-4 on Gamma(2,1)|[0.5,8]).
 // For laws supported on [0, inf), the paper's, the range is [0, budget]
 // in one piece.
-func (d *Dynamic) integrate(f quad.BatchFunc, budget float64) float64 {
-	taskLo, taskHi := d.Task.Support()
-	ckptLo, ckptHi := d.Ckpt.Support()
+func integrateBetweenKinks(f quad.BatchFunc, budget float64, task, ckpt dist.Continuous) float64 {
+	taskLo, taskHi := task.Support()
+	ckptLo, ckptHi := ckpt.Support()
 	lo := math.Max(0, taskLo)
 	hi := math.Min(math.Min(budget, taskHi), budget-ckptLo)
 	if !(hi > lo) {
@@ -224,6 +228,11 @@ func (d *Dynamic) ShouldCheckpoint(w float64) bool {
 // the two options are worth the same to within 1e-9, below what the
 // exact integrals resolve — and the paper's >= makes a tie a
 // checkpoint; any other state re-runs the exact integrals.
+//
+// Before any of that, the cell's guard (see cellGuard) answers every
+// state whose work lies outside an interval on which the table's sign
+// can be in doubt, with two comparisons and no cubic: it gives the
+// table's own answer there, bit for bit.
 func (d *Dynamic) ShouldCheckpointAt(work, elapsed float64) bool {
 	budget := d.R - elapsed
 	if budget <= 0 {
@@ -235,7 +244,27 @@ func (d *Dynamic) ShouldCheckpointAt(work, elapsed float64) bool {
 		countExactDecision()
 		return d.expectedContinue(0, budget) <= 0
 	}
-	c, t := d.cellAt(budget)
+	if !d.tableReady.Load() {
+		// Built on first use; after that the decision is lock-free.
+		d.ensureTable(context.Background()) //nolint:errcheck // background ctx never cancels
+	}
+	j, t := d.cellAt(budget)
+	// An infinite work makes the table's band infinite too; it stays
+	// with the table.
+	if g := &d.guards[j]; work < g.lo {
+		return false
+	} else if work > g.hi && work <= math.MaxFloat64 {
+		return true
+	}
+	return d.decideInCell(&d.cells[j], t, work, budget)
+}
+
+// decideInCell is ShouldCheckpointAt for a state of positive work at
+// cell coordinate t of cell c: the certified table, then the dead zone,
+// then the exact integrals. It is the whole decision for the states the
+// cell's guard leaves open, and the reference the guard is tested
+// against everywhere else.
+func (d *Dynamic) decideInCell(c *coeffCell, t, work, budget float64) bool {
 	a, b := c.at(t)
 	diff := work*a - b
 	if tol := work*c.ea + c.eb; diff > tol || diff < -tol {
@@ -280,20 +309,91 @@ func (c *coeffCell) at(t float64) (a, b float64) {
 	return a, b
 }
 
-// cellAt returns the cell holding budget and the cell coordinate t of
-// budget in it, building the table on first use. After the first build
-// the lookup is lock-free. Budgets at or past R evaluate the last cell
-// at its right end, which is the sample at R.
-func (d *Dynamic) cellAt(budget float64) (*coeffCell, float64) {
-	if !d.tableReady.Load() {
-		d.ensureTable(context.Background()) //nolint:errcheck // background ctx never cancels
+// decisionGuard is the work interval [lo, hi] of one cell outside which
+// the cell's certified cubics settle the decision at every point of the
+// cell: for work < lo the table reads continue (work*a - b below minus
+// its band), for work > hi checkpoint. lo = 0 or hi = +Inf leaves that
+// side to the table.
+type decisionGuard struct {
+	lo, hi float64
+}
+
+// guardSlack is 64u, u = 2^-53 the unit roundoff: the relative margin
+// cellGuard leaves for rounding (see there).
+const guardSlack = 0x1p-47
+
+// cellGuard derives the guard of cell c from its cubics and bounds alone.
+// Interval Horner over t in [0, 1] (where every t^k is in [0, 1]) bounds
+// the cubics, a(t) in [aLo, aHi] with aLo = a0 + sum min(a_k, 0) and
+// aHi = a0 + sum max(a_k, 0), likewise b(t). The table reads continue
+// when work*(a + eA) < b - eB and checkpoint when work*(a - eA) > b + eB,
+// which every t of the cell meets when
+//
+//	work < lo = (bLo - eB - rhoB) / (aHi + eA + rhoA) * (1 - 4u)
+//	work > hi = (bHi + eB + rhoB) / (aLo - eA - rhoA) * (1 + 4u)
+//
+// with rho = 64u * (sum |c_k| + e) per cubic. rho covers the rounding of
+// the Horner evaluation (gamma_6 * sum |c_k|), of work*a - b and
+// work*eA + eB, and of this derivation with a fourfold reserve, and the
+// 4u factor the rounding of the quotient, so the floating-point table
+// test reads the same sign as the exact argument (DESIGN §6). A side
+// whose numerator is not positive settles nothing (lo = 0, hi = +Inf
+// for a non-positive denominator); NaN anywhere settles nothing. The
+// argument needs eA <= 1/2, so that work*eA + eB stays finite at every
+// finite work, and sum |c_k| + e <= 2^500 per cubic, so that no
+// quotient above leaves the normal range; a table of the paper's
+// quantities (A in [0, 1], B <= R) meets both by far, and a cell that
+// does not gets no guard.
+func cellGuard(c *coeffCell) decisionGuard {
+	open := decisionGuard{lo: 0, hi: math.Inf(1)}
+	aLo, aHi, sA := cubicRange(&c.a)
+	bLo, bHi, sB := cubicRange(&c.b)
+	if !(c.ea <= 0.5 && sA+c.ea <= 0x1p500 && sB+c.eb <= 0x1p500) {
+		return open
 	}
+	rhoA := guardSlack * (sA + c.ea)
+	rhoB := guardSlack * (sB + c.eb)
+	g := open
+	if num, den := bLo-c.eb-rhoB, aHi+c.ea+rhoA; num > 0 {
+		if den <= 0 {
+			g.lo = math.Inf(1)
+		} else {
+			g.lo = num / den * (1 - 0x1p-51)
+		}
+	}
+	if num, den := bHi+c.eb+rhoB, aLo-c.ea-rhoA; den > 0 {
+		if num <= 0 {
+			g.hi = 0
+		} else {
+			g.hi = num / den * (1 + 0x1p-51)
+		}
+	}
+	return g
+}
+
+// cubicRange returns interval-Horner bounds of c[0] + c[1]t + c[2]t² +
+// c[3]t³ over t in [0, 1], and sum |c_k|.
+func cubicRange(c *[4]float64) (lo, hi, abs float64) {
+	lo, hi, abs = c[0], c[0], math.Abs(c[0])
+	for _, ck := range c[1:] {
+		lo += min(ck, 0)
+		hi += max(ck, 0)
+		abs += math.Abs(ck)
+	}
+	return lo, hi, abs
+}
+
+// cellAt returns the index of the cell holding budget and the cell
+// coordinate t of budget in it; the table must be built. Budgets at or
+// past R evaluate the last cell at its right end, which is the sample
+// at R.
+func (d *Dynamic) cellAt(budget float64) (int, float64) {
 	pos := budget * d.cellsPerUnit
 	if pos >= dynamicGridSize {
-		return &d.cells[dynamicGridSize-1], 1
+		return dynamicGridSize - 1, 1
 	}
 	i := int(pos)
-	return &d.cells[i], pos - float64(i)
+	return i, pos - float64(i)
 }
 
 // Prebuild computes the coefficient table eagerly, honoring ctx: grid
@@ -332,15 +432,19 @@ func (d *Dynamic) ensureTable(ctx context.Context) error {
 }
 
 // publishTable installs the samples a, b (which it takes ownership of)
-// with the cells certified from them, then flips tableReady. Callers
-// hold tableMu. A built table and an installed copy of it go through
-// here alike, so they decide bit-identically.
+// with the cells certified from them and the cells' guards, then flips
+// tableReady. Callers hold tableMu. A built table and an installed copy
+// of it go through here alike, so they decide bit-identically.
 func (d *Dynamic) publishTable(a, b []float64) {
 	d.tableA, d.tableB = a, b
 	d.cells = d.certify(a, b)
+	d.guards = make([]decisionGuard, len(d.cells))
+	for j := range d.cells {
+		d.guards[j] = cellGuard(&d.cells[j])
+	}
 	d.cellsPerUnit = dynamicGridSize / d.R
 	// Store-release: publishes the writes above to lock-free readers in
-	// cellAt.
+	// ShouldCheckpointAt.
 	d.tableReady.Store(true)
 }
 
@@ -506,18 +610,18 @@ func (d *Dynamic) exactCoefficients(budget float64) (a, b float64) {
 		}
 		return cs, ps
 	}
-	sumP := d.integrate(func(xs, out []float64) {
+	sumP := integrateBetweenKinks(func(xs, out []float64) {
 		cs, ps := kernel(xs)
 		for i := range xs {
 			out[i] = cs[i] * ps[i]
 		}
-	}, budget)
-	sumXP := d.integrate(func(xs, out []float64) {
+	}, budget, d.Task, d.Ckpt)
+	sumXP := integrateBetweenKinks(func(xs, out []float64) {
 		cs, ps := kernel(xs)
 		for i, x := range xs {
 			out[i] = x * cs[i] * ps[i]
 		}
-	}, budget)
+	}, budget, d.Task, d.Ckpt)
 	return pc - sumP, sumXP
 }
 

@@ -11,6 +11,7 @@ import (
 	"reskit/internal/lawspec"
 	"reskit/internal/obs"
 	"reskit/internal/quad"
+	"reskit/internal/rng"
 )
 
 func TestDynamicNormalFig8(t *testing.T) {
@@ -308,12 +309,16 @@ func TestExactBandScalesWithWork(t *testing.T) {
 	// outside a band blind to the work factor (eA + eB, or the old
 	// 1e-3*(1+B)), must still re-run the integrals.
 	d := v11Dynamic()
+	if err := d.Prebuild(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	exact := new(obs.Counter)
 	ObserveDecisions(exact, nil)
 	defer ObserveDecisions(nil, nil)
 	probes := 0
 	for elapsed := 85.0; elapsed < 97; elapsed += 0.05 {
-		c, tq := d.cellAt(d.R - elapsed)
+		j, tq := d.cellAt(d.R - elapsed)
+		c := &d.cells[j]
 		a, b := c.at(tq)
 		// work*a - b = (work*eA + eB)/2
 		work := (b + c.eb/2) / (a - c.ea/2)
@@ -329,6 +334,73 @@ func TestExactBandScalesWithWork(t *testing.T) {
 	}
 	if probes < 10 {
 		t.Fatalf("only %d probes", probes)
+	}
+}
+
+func TestDecisionGuardAgreesWithTable(t *testing.T) {
+	// A state the guard settles must be one the table settles with the
+	// same sign, |work*a - b| > work*eA + eB, and ShouldCheckpointAt must
+	// equal decideInCell, the unguarded path, on every state. The states:
+	// 200 000 random ones with work <= elapsed < R, and in every cell the
+	// guard's edges lo and hi and the doubles next to them at three
+	// points of the cell, plus works at the ends of the float range.
+	for _, in := range certifiedInstances(t) {
+		d := in.d
+		t.Run(in.name, func(t *testing.T) {
+			if err := d.Prebuild(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var states, settled int
+			check := func(work, elapsed float64) {
+				states++
+				budget := d.R - elapsed
+				j, tq := d.cellAt(budget)
+				c, g := &d.cells[j], d.guards[j]
+				a, b := c.at(tq)
+				diff, tol := work*a-b, work*c.ea+c.eb
+				switch {
+				case work < g.lo:
+					settled++
+					if !(diff < -tol) {
+						t.Errorf("cell %d work %v elapsed %v: guard continues below lo %v, table diff %g band %g",
+							j, work, elapsed, g.lo, diff, tol)
+					}
+				case work > g.hi && work <= math.MaxFloat64:
+					settled++
+					if !(diff > tol) {
+						t.Errorf("cell %d work %v elapsed %v: guard checkpoints above hi %v, table diff %g band %g",
+							j, work, elapsed, g.hi, diff, tol)
+					}
+				}
+				if got, want := d.ShouldCheckpointAt(work, elapsed), d.decideInCell(c, tq, work, budget); got != want {
+					t.Errorf("cell %d work %v elapsed %v: decision %v, unguarded %v", j, work, elapsed, got, want)
+				}
+			}
+			src := rng.New(20)
+			for i := 0; i < 200000; i++ {
+				elapsed := d.R * src.Float64()
+				if work := elapsed * (1 - src.Float64()); work > 0 {
+					check(work, elapsed)
+				}
+			}
+			random := settled
+			for j := 0; j < GridSize; j++ {
+				for _, tq := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+					elapsed := d.R - (float64(j)+tq)/d.cellsPerUnit
+					for _, edge := range []float64{d.guards[j].lo, d.guards[j].hi} {
+						if edge > 0 && !math.IsInf(edge, 0) {
+							check(math.Nextafter(edge, 0), elapsed)
+							check(edge, elapsed)
+							check(math.Nextafter(edge, math.Inf(1)), elapsed)
+						}
+					}
+				}
+			}
+			for _, work := range []float64{math.SmallestNonzeroFloat64, 1e-300, 1e300, math.MaxFloat64, math.Inf(1)} {
+				check(work, d.R/2)
+			}
+			t.Logf("guard settled %d of 200000 random states, %d of %d in all", random, settled, states)
+		})
 	}
 }
 

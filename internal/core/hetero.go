@@ -80,10 +80,12 @@ func (h *Heterogeneous) ExpectedWorkContinue(i int, work, elapsed float64) float
 		return 0
 	}
 	spec := h.Tasks[next]
-	integrand := func(x float64) float64 {
-		return (x + work) * h.ckptProbAt(next, budget-x) * spec.Duration.PDF(x)
+	integrand := func(xs, out []float64) {
+		for i, x := range xs {
+			out[i] = (x + work) * h.ckptProbAt(next, budget-x) * spec.Duration.PDF(x)
+		}
 	}
-	return quad.Kronrod(integrand, 0, budget, 1e-12, 1e-10).Value
+	return integrateBetweenKinks(integrand, budget, spec.Duration, spec.Ckpt)
 }
 
 // ShouldCheckpoint applies the dynamic rule at the end of task i

@@ -49,6 +49,34 @@ func TestHeterogeneousExpectationsMatchDynamic(t *testing.T) {
 	}
 }
 
+func TestHeterogeneousContinueMatchesDynamicAcrossKinks(t *testing.T) {
+	// E(W_+1) of a homogeneous chain must be the Section 4.3 integral,
+	// which runs between the jumps of a truncated task density and the
+	// kinks of a bounded checkpoint law. Over [0, budget] in one piece
+	// the gamma:2,1@[0.5,8] chain was off by 0.0126 at budget 9.96.
+	law := func(spec string) dist.Continuous { return parseLaw(t, spec) }
+	cases := []struct {
+		r          float64
+		task, ckpt dist.Continuous
+	}{
+		{29, law("gamma:2,1@[0.5,8]"), law("norm:5,0.4@[0,inf]")},
+		{10, law("exp:0.3"), law("uniform:0.3,0.7")},
+		{29, law("norm:3,0.5@[0,inf]"), law("norm:5,0.4@[0,inf]")},
+	}
+	for _, c := range cases {
+		d := NewDynamic(c.r, c.task, c.ckpt)
+		h := Homogeneous(c.r, 20, c.task, c.ckpt)
+		for k := 0; k < 2000; k++ {
+			w := c.r * (float64(k) + 0.5) / 2000
+			want := d.ExpectedWorkContinue(w)
+			if got := h.ExpectedWorkContinue(3, w, w); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+				t.Errorf("R=%g %v/%v work=elapsed=%g: heterogeneous %.12g, dynamic %.12g",
+					c.r, c.task, c.ckpt, w, got, want)
+			}
+		}
+	}
+}
+
 func TestHeterogeneousLastTaskAlwaysCheckpoints(t *testing.T) {
 	task := dist.NewGamma(1, 0.5)
 	ckpt := paperCkpt(2, 0.4)

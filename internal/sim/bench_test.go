@@ -169,4 +169,21 @@ func TestZeroSteadyStateAllocsPerBlock(t *testing.T) {
 	if oracleAllocs > 64 {
 		t.Errorf("oracle MC block: %.1f allocs/block in steady state, want ~0", oracleAllocs)
 	}
+
+	// The campaign block of the e2ebench workloads: R 29, recovery 1.5,
+	// 500 units of total work, normal and gamma tasks.
+	for _, task := range []dist.Continuous{paperTask(), dist.Truncate(dist.NewGamma(6, 0.5), 0, math.Inf(1))} {
+		camp := benchCampaignConfig(task, paperCkpt(5, 0.4), 29)
+		camp.Reservation.Recovery = 1.5
+		camp.TotalWork = 500
+		src.Reinit(7, 0)
+		runCampaignBlock(camp, campaignBlockSize, 0, &src, nil)
+		campAllocs := testing.AllocsPerRun(10, func() {
+			src.Reinit(7, 0)
+			runCampaignBlock(camp, campaignBlockSize, 0, &src, nil)
+		})
+		if campAllocs != 0 {
+			t.Errorf("campaign block (%v tasks): %.1f allocs/block in steady state, want 0", task, campAllocs)
+		}
+	}
 }

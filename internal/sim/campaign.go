@@ -68,7 +68,7 @@ func (c CampaignResult) Utilization() float64 {
 
 // RunCampaign simulates the whole campaign with the given generator.
 func RunCampaign(cfg CampaignConfig, r *rng.Source) CampaignResult {
-	res, _ := runCampaign(cfg, r, nil)
+	res, _ := runCampaign(&cfg, r, nil)
 	return res
 }
 
@@ -76,8 +76,10 @@ func RunCampaign(cfg CampaignConfig, r *rng.Source) CampaignResult {
 // done is closed, the campaign stops cleanly at the next reservation
 // boundary and reports interrupted = true. The partial result is
 // well-formed (all sums cover exactly the reservations that ran).
-func runCampaign(cfg CampaignConfig, r *rng.Source, done <-chan struct{}) (res CampaignResult, interrupted bool) {
+func runCampaign(cfg *CampaignConfig, r *rng.Source, done <-chan struct{}) (res CampaignResult, interrupted bool) {
 	cfg.validate()
+	rc := &cfg.Reservation
+	taskCap := rc.maxTasks()
 
 	maxRes := cfg.MaxReservations
 	if maxRes <= 0 {
@@ -97,13 +99,8 @@ func runCampaign(cfg CampaignConfig, r *rng.Source, done <-chan struct{}) (res C
 			default:
 			}
 		}
-		rc := cfg.Reservation
-		if res.Reservations == 0 {
-			// Nothing to recover at the very first reservation.
-			rc.Recovery = 0
-			rc.RecoveryLaw = nil
-		}
-		run := Run(rc, r)
+		// Nothing to recover at the very first reservation.
+		run := runReservation(rc, r, taskCap, res.Reservations == 0)
 		res.Reservations++
 		res.TimeReserved += rc.R
 		res.TimeUsed += run.TimeUsed
@@ -205,7 +202,7 @@ func runCampaignBlock(cfg CampaignConfig, trials, b int, src *rng.Source, done <
 		if tracing {
 			cfg.Reservation.trial = int64(i)
 		}
-		r, interrupted := runCampaign(cfg, src, done)
+		r, interrupted := runCampaign(&cfg, src, done)
 		if interrupted {
 			return p, false
 		}

@@ -148,8 +148,12 @@ func (c *Config) validate() {
 	}
 }
 
-// sampleRecovery returns the recovery time for one reservation.
-func (c *Config) sampleRecovery(r *rng.Source) float64 {
+// sampleRecovery returns the recovery time for one reservation: none in
+// a campaign's first reservation, which has no checkpoint to reload.
+func (c *Config) sampleRecovery(r *rng.Source, first bool) float64 {
+	if first {
+		return 0
+	}
 	if c.RecoveryLaw != nil {
 		return c.RecoveryLaw.Sample(r)
 	}
@@ -209,7 +213,16 @@ type RunResult struct {
 // then one crash gap after each crash and one checkpoint-failure variate
 // per completed checkpoint attempt.
 func Run(cfg Config, r *rng.Source) RunResult {
-	res := runOne(cfg, r)
+	cfg.validate()
+	return runReservation(&cfg, r, cfg.maxTasks(), false)
+}
+
+// runReservation is Run on a validated configuration whose task cap is
+// already resolved, so a campaign checks and resolves them once rather
+// than per reservation. first marks a campaign's first reservation,
+// which pays no recovery: not at its start, nor after a crash inside it.
+func runReservation(cfg *Config, r *rng.Source, taskCap int, first bool) RunResult {
+	res := runOne(cfg, r, taskCap, first)
 	if cfg.Obs != nil {
 		cfg.Obs.record(res)
 		if tr := cfg.Obs.tracer(cfg.trial); tr != nil {
@@ -219,10 +232,9 @@ func Run(cfg Config, r *rng.Source) RunResult {
 	return res
 }
 
-// runOne is the uninstrumented body of Run, emitting trace events to the
-// trial's sampled sink (nil when tracing is off).
-func runOne(cfg Config, r *rng.Source) RunResult {
-	cfg.validate()
+// runOne is the uninstrumented body of runReservation, emitting trace
+// events to the trial's sampled sink (nil when tracing is off).
+func runOne(cfg *Config, r *rng.Source, taskCap int, first bool) RunResult {
 	tr := cfg.Obs.tracer(cfg.trial)
 	var res RunResult
 
@@ -234,7 +246,7 @@ func runOne(cfg Config, r *rng.Source) RunResult {
 		plan = cfg.Faults
 	}
 
-	elapsed := cfg.sampleRecovery(r)
+	elapsed := cfg.sampleRecovery(r, first)
 	if plan != nil && plan.Revoke != nil {
 		horizon = plan.Revoke.Horizon(cfg.R, r)
 		res.Revoked = horizon < cfg.R
@@ -250,8 +262,7 @@ func runOne(cfg Config, r *rng.Source) RunResult {
 	var work float64 // uncommitted work
 	tasksSinceCkpt := 0
 	attemptsSinceCommit := 0 // failed checkpoint attempts since the last commit
-	taskCap := cfg.maxTasks()
-	ckptAttempts := 0 // total checkpoint attempts, capped like tasks
+	ckptAttempts := 0        // total checkpoint attempts, capped like tasks
 
 	// Pre-sample the next fail-stop instant (infinity when crash-free).
 	nextFail := math.Inf(1)
@@ -272,7 +283,7 @@ func runOne(cfg Config, r *rng.Source) RunResult {
 		work = 0
 		tasksSinceCkpt = 0
 		attemptsSinceCommit = 0
-		elapsed = t + cfg.sampleRecovery(r)
+		elapsed = t + cfg.sampleRecovery(r, first)
 		if cfg.FailureRate > 0 {
 			nextFail = elapsed + r.Exponential(cfg.FailureRate)
 		} else if plan != nil && plan.Crash != nil {
@@ -416,7 +427,7 @@ func runOracleOne(cfg Config, r *rng.Source) RunResult {
 	cfg.validate()
 	var res RunResult
 
-	start := cfg.sampleRecovery(r)
+	start := cfg.sampleRecovery(r, false)
 	if start >= cfg.R {
 		res.TimeUsed = cfg.R
 		return res

@@ -40,7 +40,7 @@ func runCampaignStreamBlock(cfg CampaignConfig, b int, src *rng.Source, done <-c
 		if tracing {
 			cfg.Reservation.trial = int64(i)
 		}
-		r, interrupted := runCampaign(cfg, src, done)
+		r, interrupted := runCampaign(&cfg, src, done)
 		if interrupted {
 			return p, false
 		}
