@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz chaos dist-soak stream-soak bench benchjson benchsuite benchcheck obs-demo advise-demo figures report clean
+.PHONY: all build vet test race fuzz chaos dist-soak stream-soak bench benchsuite benchcheck obs-demo advise-demo figures report clean
 
 all: build vet test
 
@@ -49,11 +49,14 @@ chaos:
 # path (dropped requests, dropped responses, duplicated submissions,
 # hung and erroring jobs), a worker killed mid-run and replaced, and a
 # coordinator kill+resume — every fleet's aggregate must be
-# bit-identical to an undisturbed local run. -short trims the job
-# count for CI; drop it (or raise COUNT) for longer campaigns.
+# bit-identical to an undisturbed local run — plus the distrun CLI's
+# own tests (coordinator and workers end to end, the fault sweep, the
+# pinned fingerprints, an interrupt before the first commit). -short
+# trims the job count for CI; drop it (or raise COUNT) for longer
+# campaigns.
 dist-soak:
 	$(GO) test -race -short -count=$(COUNT) -run 'TestDist|TestNetPlane' \
-		./internal/distrun/ ./internal/chaos/
+		./internal/distrun/ ./internal/chaos/ ./cmd/distrun/
 
 # Streaming-campaign soak under the race detector: the engine-level
 # stream invariants (worker invariance, stop-frontier determinism,
@@ -66,20 +69,6 @@ stream-soak:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# Refresh the benchmark snapshots: BENCH_campaign.json (campaign
-# Monte-Carlo through the engine, 10^6 trials, worker sweep 1/4/8,
-# min-of-5 timing, checked bit-identical across the sweep) and
-# BENCH_faults.json (lost-work/completion trade-off over an MTBF grid
-# under injected fail-stop crashes, 10^5 trials).
-benchjson:
-	$(GO) run ./cmd/simulate -campaign -R 29 -task 'norm:3,0.5@[0,inf]' \
-		-ckpt 'norm:5,0.4@[0,inf]' -recovery 1.5 -totalwork 500 \
-		-trials 1000000 -benchjson BENCH_campaign.json
-	$(GO) run ./cmd/simulate -campaign -R 29 -task 'norm:3,0.5@[0,inf]' \
-		-ckpt 'norm:5,0.4@[0,inf]' -recovery 1.5 -totalwork 500 \
-		-trials 100000 -faultsweep '20,50,100,200,500,1000' \
-		-benchjson BENCH_faults.json
 
 # Refresh BENCH_suite.json: every simulate mode (preempt, workflow,
 # campaign) under normal- and gamma-law workloads at production trial

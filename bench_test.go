@@ -260,7 +260,8 @@ func BenchmarkCampaign(b *testing.B) {
 
 // BenchmarkCampaignSerial is the one-worker reference for
 // BenchmarkCampaign: the ns/trial ratio between the two is the
-// parallel speedup recorded in BENCH_campaign.json (make benchjson).
+// parallel speedup on the host (cmd/bench records it per workload in
+// BENCH_suite.json).
 func BenchmarkCampaignSerial(b *testing.B) {
 	task := reskit.TruncatedNormal(3, 0.5)
 	ckpt := reskit.TruncatedNormal(5, 0.4)

@@ -45,8 +45,8 @@ type workload struct {
 const suiteSeed = 42
 
 // buildWorkloads constructs the suite. Laws mirror the repository's
-// canonical experiment configurations (Makefile benchjson, figure
-// reproductions): reservation R=29 with a truncated-normal task
+// canonical experiment configurations (the campaign examples of the
+// README, figure reproductions): reservation R=29 with a truncated-normal task
 // (mu=3, sigma=0.5) or gamma task (k=6, theta=0.5), truncated-normal
 // checkpoint law (mu=5, sigma=0.4), recovery 1.5, dynamic strategy.
 func buildWorkloads() ([]workload, error) {

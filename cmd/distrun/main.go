@@ -1,11 +1,12 @@
 // Command distrun runs the campaign Monte-Carlo of cmd/simulate across
 // machines: one coordinator process owns the job ledger and the durable
 // snapshot, any number of worker processes lease blocks over HTTP and
-// stream payloads back. The merged aggregate is bit-identical to a
-// single-process `simulate -campaign` run of the same flags — and the
-// two sides share snapshot files: a distributed run interrupted midway
-// can be finished locally with `simulate -campaign -resume`, and vice
-// versa, because both compute the identical configuration fingerprint.
+// stream payloads back. Both commands build the campaign, its job grid
+// and its fingerprint through cmd/internal/campaign, so the merged
+// aggregate is bit-identical to a single-process `simulate -campaign`
+// run of the same flags, and the two share snapshot files: a
+// distributed run interrupted midway can be finished locally with
+// `simulate -campaign -resume`, and vice versa.
 //
 // Coordinator:
 //
@@ -17,8 +18,9 @@
 //	distrun -R 60 -task exp:0.02 -ckpt uniform:5 -totalwork 500 \
 //	        -trials 200000 -worker http://coord:8080
 //
-// Exit codes follow cmd/simulate: 0 success, 1 failure, 3 interrupted
-// by a signal (resumable), 4 completed degraded under -keep-going.
+// The coordinator prints simulate's result table. Exit codes follow
+// cmd/simulate: 0 success, 1 failure, 3 interrupted by a signal, 4
+// completed degraded under -keep-going.
 package main
 
 import (
@@ -29,60 +31,26 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 	"reskit/internal/distrun"
 	"reskit/internal/engine"
 	"reskit/internal/httpd"
-	"reskit/internal/lawspec"
 	"reskit/internal/obs"
 	"reskit/internal/sim"
 )
 
-// Exit codes shared with cmd/simulate.
-const (
-	exitInterrupted = 3
-	exitDegraded    = 4
-)
-
-var (
-	errInterrupted = errors.New("interrupted by signal; the run is resumable")
-	errDegraded    = errors.New("completed degraded: some jobs failed permanently")
-)
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "distrun:", err)
-		if errors.Is(err, errInterrupted) {
-			os.Exit(exitInterrupted)
-		}
-		if errors.Is(err, errDegraded) {
-			os.Exit(exitDegraded)
-		}
-		os.Exit(1)
-	}
-}
+func main() { campaign.Exit("distrun", run(os.Args[1:], os.Stdout)) }
 
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("distrun", flag.ContinueOnError)
 	// Campaign configuration — must be identical on coordinator and
 	// workers; it is hashed into the run fingerprint that the protocol
 	// verifies on every message.
-	r := fs.Float64("R", 0, "reservation length (required)")
-	ckptSpec := fs.String("ckpt", "", "checkpoint-duration law (required)")
-	taskSpec := fs.String("task", "", "continuous task law")
-	taskDiscSpec := fs.String("taskdisc", "", "discrete task law")
-	recovery := fs.Float64("recovery", 0, "recovery time at reservation start")
-	totalWork := fs.Float64("totalwork", 500, "total application work of the campaign")
-	trials := fs.Int("trials", 100000, "Monte-Carlo trials")
-	seed := fs.Uint64("seed", 1, "random seed")
-	faultSpec := fs.String("faults", "", "fault plan, e.g. 'crash=exp:0.02,ckptfail=0.05'")
-	mtbf := fs.Float64("mtbf", 0, "shorthand for -faults 'crash=exp:1/MTBF'")
-	faultSweep := fs.String("faultsweep", "", "comma-separated MTBF grid; distributes the sweep of simulate -campaign -faultsweep (identical fingerprint, interchangeable snapshots)")
+	var cf campaign.Flags
+	cf.Register(fs)
 
 	// Worker mode.
 	workerURL := fs.String("worker", "", "run as a worker against this coordinator URL (empty: run as the coordinator)")
@@ -108,131 +76,41 @@ func run(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *r <= 0 {
-		return errors.New("-R must be positive")
-	}
-	if *ckptSpec == "" {
-		return errors.New("-ckpt is required")
-	}
-	ckpt, err := lawspec.Parse(*ckptSpec)
+	ckpt, plan, err := cf.Parse()
 	if err != nil {
 		return err
-	}
-	plan, err := reskit.ParseFaults(*faultSpec)
-	if err != nil {
-		return err
-	}
-	if *mtbf != 0 {
-		if !(*mtbf > 0) {
-			return errors.New("-mtbf must be positive")
-		}
-		crash, cerr := reskit.CrashExponential(1 / *mtbf)
-		if cerr != nil {
-			return cerr
-		}
-		if plan == nil {
-			plan = &reskit.FaultPlan{}
-		}
-		plan.Crash = crash
 	}
 	if *resume && *checkpointPath == "" {
 		return errors.New("-resume requires -checkpoint")
 	}
-	cfg, err := buildCampaign(*r, *recovery, *totalWork, *taskSpec, *taskDiscSpec, ckpt, plan)
+	// The campaign, its job grid and its fingerprint are simulate's own,
+	// so job i means the same work on both sides, a snapshot written here
+	// resumes there and vice versa, and a worker launched with different
+	// flags is rejected by the coordinator.
+	cfg, _, err := cf.Config(ckpt, plan, nil)
 	if err != nil {
 		return err
 	}
-
-	// The exact fingerprint parts of simulate's campaign (or campaign
-	// fault-sweep) mode: a snapshot written here resumes there and vice
-	// versa, and a worker launched with different flags is rejected by
-	// the coordinator.
-	mode := "campaign"
-	if *faultSweep != "" {
-		mode = "campaign faultsweep=" + *faultSweep
+	grid, err := cf.Grid(cfg)
+	if err != nil {
+		return err
 	}
-	fp := reskit.ConfigFingerprint(
-		mode,
-		fmt.Sprintf("R=%g", *r),
-		fmt.Sprintf("recovery=%g", *recovery),
-		"task="+*taskSpec,
-		"taskdisc="+*taskDiscSpec,
-		"ckpt="+*ckptSpec,
-		fmt.Sprintf("totalwork=%g", *totalWork),
-		fmt.Sprintf("faults=%v", plan),
-		fmt.Sprintf("trials=%d", *trials),
-		fmt.Sprintf("seed=%d", *seed),
-	)
-	// The job grid is simulate's own (sim.SweepGrid), so job i means the
-	// same work on both sides. A plain campaign is a one-row grid.
-	grid := sim.CampaignGrid(cfg, *trials)
-	if *faultSweep != "" {
-		if grid, err = sim.FaultSweepGrid(cfg, *faultSweep, *trials); err != nil {
-			return fmt.Errorf("-faultsweep: %w", err)
-		}
-	}
+	fp := cf.Fingerprint(plan)
 
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	defer func() {
-		if err == nil && sigCtx.Err() != nil {
-			err = errInterrupted
-		}
-	}()
+	ctx, finishSignals := campaign.Signals()
+	defer finishSignals(&err)
 
 	if *workerURL != "" {
-		return runWorker(sigCtx, out, *workerURL, *name, grid, *seed, fp,
+		return runWorker(ctx, out, *workerURL, *name, grid, cf.Seed, fp,
 			engine.Failure{Retries: *retries, Backoff: *retryBackoff, JobTimeout: *jobTimeout}, *workers)
 	}
-	return runCoordinator(sigCtx, out, coordinatorOpts{
+	return runCoordinator(ctx, out, coordinatorOpts{
 		listen: *listen, addrFile: *addrFile,
 		checkpoint:  engine.Checkpoint{Path: *checkpointPath, Interval: *checkpointInterval, Resume: *resume},
 		keepGoing:   *keepGoing,
 		jobAttempts: *jobAttempts,
 		leaseTTL:    *leaseTTL, targetLease: *targetLease, minLease: *minLease, maxLease: *maxLease,
-	}, grid, *seed, fp)
-}
-
-// buildCampaign assembles the campaign exactly as simulate's campaign
-// mode does, so the job payloads are the same pure functions.
-func buildCampaign(r, recovery, totalWork float64, taskSpec, taskDiscSpec string,
-	ckpt reskit.Continuous, plan *reskit.FaultPlan) (reskit.CampaignConfig, error) {
-
-	if !(totalWork > 0) {
-		return reskit.CampaignConfig{}, errors.New("-totalwork must be positive")
-	}
-	base := reskit.SimConfig{R: r, Recovery: recovery, Ckpt: ckpt, Faults: plan}
-	switch {
-	case taskSpec != "":
-		law, err := lawspec.Parse(taskSpec)
-		if err != nil {
-			return reskit.CampaignConfig{}, err
-		}
-		dyn, err := reskit.TryNewDynamic(r, law, ckpt)
-		if err != nil {
-			return reskit.CampaignConfig{}, err
-		}
-		base.Task = law
-		base.Strategy = reskit.DynamicStrategy(dyn)
-	case taskDiscSpec != "":
-		law, err := lawspec.ParseDiscrete(taskDiscSpec)
-		if err != nil {
-			return reskit.CampaignConfig{}, err
-		}
-		dyn, err := reskit.TryNewDynamicDiscrete(r, law, ckpt)
-		if err != nil {
-			return reskit.CampaignConfig{}, err
-		}
-		base.TaskDisc = law
-		base.Strategy = reskit.DynamicStrategy(dyn)
-	default:
-		return reskit.CampaignConfig{}, errors.New("-task or -taskdisc is required")
-	}
-	cfg := reskit.CampaignConfig{Reservation: base, TotalWork: totalWork}
-	if err := cfg.Validate(); err != nil {
-		return reskit.CampaignConfig{}, err
-	}
-	return cfg, nil
+	}, grid, cf.Seed, fp)
 }
 
 type coordinatorOpts struct {
@@ -245,7 +123,7 @@ type coordinatorOpts struct {
 }
 
 // runCoordinator serves the ledger until the run resolves, then prints
-// the merged aggregate (complete runs) or the partial verdict.
+// simulate's result table and status block.
 func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 	grid *sim.SweepGrid, seed, fp uint64) error {
 
@@ -305,70 +183,18 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 	}
 
 	// A failure that is neither an interruption nor the keep-going
-	// degradation is fatal: a job out of attempts without -keep-going,
-	// an unusable restored payload, a dead snapshot disk.
-	if runErr != nil && ctx.Err() == nil && len(res.Failed) == 0 {
-		return runErr
+	// degradation is fatal: a job out of attempts without -keep-going, an
+	// unusable restored payload. The rest report as simulate does.
+	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
+		return err
 	}
-	st := co.Stats()
-	if res.Done() == numJobs {
-		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		if grid.MTBFs != nil {
-			// The same per-row trade-off table simulate's -faultsweep
-			// prints, merged row by row from the row-major payload grid.
-			fmt.Fprintf(tw, "MTBF\tE(lost)\tE(util)\tE(res)\tE(crashes)\tcompletion\n")
-			for ri, m := range grid.MTBFs {
-				agg, merr := sim.MergeCampaignPayloads(grid.Row(res.Payloads, ri))
-				if merr != nil {
-					return merr
-				}
-				fmt.Fprintf(tw, "%g\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\n",
-					m, agg.LostWork, agg.Utilization, agg.Reservations, agg.Crashes, agg.CompletionRate)
-			}
-		} else {
-			agg, merr := sim.MergeCampaignPayloads(res.Payloads)
-			if merr != nil {
-				return merr
-			}
-			fmt.Fprintf(tw, "mean reservations\t%.4g\n", agg.Reservations)
-			fmt.Fprintf(tw, "mean utilization\t%.4g\n", agg.Utilization)
-			fmt.Fprintf(tw, "mean lost work\t%.4g\n", agg.LostWork)
-			fmt.Fprintf(tw, "completion rate\t%.4g\n", agg.CompletionRate)
-			fmt.Fprintf(tw, "all completed\t%v\n", agg.CompletedAll)
-		}
-		fmt.Fprintf(tw, "wall time\t%v (%d workers seen)\n", elapsed.Round(time.Millisecond), st.Workers)
-		if terr := tw.Flush(); terr != nil {
-			return terr
-		}
-	} else {
-		fmt.Fprintf(out, "distrun: %d/%d jobs done (%d restored) after %v\n",
-			res.Done(), numJobs, res.Restored, elapsed.Round(time.Millisecond))
+	rep := campaign.Report{Ctx: ctx, Out: out, Path: opts.checkpoint.Path}
+	if err := rep.Table(grid, res.Payloads, runErr, elapsed); err != nil {
+		return err
 	}
-	// Wait joins an engine.SnapshotError into its error when the final
-	// snapshot flush failed — in that case the file on disk is stale and
-	// must not be advertised as resumable.
-	var snapErr *engine.SnapshotError
-	flushFailed := errors.As(runErr, &snapErr)
-	switch {
-	case ctx.Err() != nil:
-		if flushFailed {
-			fmt.Fprintf(out, "checkpoint: final snapshot not persisted (%v); a resume replays work since the last good snapshot\n", snapErr.Err)
-		} else if opts.checkpoint.Path != "" {
-			fmt.Fprintf(out, "checkpoint: resumable snapshot at %s\n", opts.checkpoint.Path)
-		}
-		return errInterrupted
-	case len(res.Failed) > 0:
-		for _, fe := range res.Failed {
-			fmt.Fprintf(out, "failed: %v\n", fe)
-		}
-		if flushFailed {
-			fmt.Fprintf(out, "checkpoint: final snapshot not persisted (%v); a resume replays work since the last good snapshot\n", snapErr.Err)
-		} else if opts.checkpoint.Path != "" {
-			fmt.Fprintf(out, "checkpoint: failed jobs left out of %s; -resume retries exactly them\n", opts.checkpoint.Path)
-		}
-		return errDegraded
-	}
-	return nil
+	fmt.Fprintf(out, "distrun: %d/%d jobs done (%d restored) in %v, %d workers seen\n",
+		res.Done(), numJobs, res.Restored, elapsed.Round(time.Millisecond), co.Stats().Workers)
+	return rep.Finish(runErr, res)
 }
 
 // runWorker joins the coordinator at url and executes leases until the
@@ -388,7 +214,7 @@ func runWorker(ctx context.Context, out io.Writer, url, name string, grid *sim.S
 		Log:         out,
 	})
 	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		return errInterrupted
+		return campaign.ErrInterrupted
 	}
 	return err
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -13,11 +15,11 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 	"reskit/internal/ckpt"
 	"reskit/internal/distrun"
 	"reskit/internal/engine"
 	"reskit/internal/httpd"
-	"reskit/internal/lawspec"
 	"reskit/internal/sim"
 )
 
@@ -31,14 +33,28 @@ var campaignArgs = []string{
 // testTrials is the -trials value of campaignArgs.
 const testTrials = 1280
 
+// testFlags parses args (campaignArgs plus extras) into the campaign
+// flags, as the CLI does.
+func testFlags(t *testing.T, args ...string) *campaign.Flags {
+	t.Helper()
+	var cf campaign.Flags
+	fs := flag.NewFlagSet("distrun", flag.ContinueOnError)
+	cf.Register(fs)
+	if err := fs.Parse(append(append([]string{}, campaignArgs...), args...)); err != nil {
+		t.Fatal(err)
+	}
+	return &cf
+}
+
 // testCampaign builds the campaign of campaignArgs as the CLI does.
 func testCampaign(t *testing.T) reskit.CampaignConfig {
 	t.Helper()
-	law, err := lawspec.Parse("uniform:1,3")
+	cf := testFlags(t)
+	law, plan, err := cf.Parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := buildCampaign(60, 0, 120, "exp:0.05", "", law, nil)
+	cfg, _, err := cf.Config(law, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,31 +240,31 @@ func TestDistrunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestDistrunFingerprintMatchesSimulate pins the fingerprint parts to
-// the ones cmd/simulate's campaign mode hashes: if this breaks,
-// snapshots and workers stop being interchangeable between the two
-// CLIs.
+// TestDistrunFingerprintMatchesSimulate pins the fingerprints both CLIs
+// take from campaign.Flags to the values they had when each CLI hashed
+// its own copy of the parts: if this breaks, existing snapshots stop
+// resuming and old workers stop matching their coordinator.
 func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
-	got := reskit.ConfigFingerprint(
-		"campaign",
-		fmt.Sprintf("R=%g", 60.0),
-		fmt.Sprintf("recovery=%g", 0.0),
-		"task=exp:0.05",
-		"taskdisc=",
-		"ckpt=uniform:1,3",
-		fmt.Sprintf("totalwork=%g", 120.0),
-		fmt.Sprintf("faults=%v", (*reskit.FaultPlan)(nil)),
-		fmt.Sprintf("trials=%d", 1280),
-		fmt.Sprintf("seed=%d", 7),
-	)
-	// Recompute through the same helper the CLI uses — guarding against
-	// a drive-by reordering of the parts in either place.
-	want := reskit.ConfigFingerprint(
-		"campaign", "R=60", "recovery=0", "task=exp:0.05", "taskdisc=",
-		"ckpt=uniform:1,3", "totalwork=120", "faults=no faults", "trials=1280", "seed=7",
-	)
-	if got != want {
-		t.Fatalf("fingerprint parts drifted: %016x != %016x", got, want)
+	stop, err := reskit.ParseStopSpec("rel=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, sweep := testFlags(t), testFlags(t, "-faultsweep", "30,60")
+	_, plan, err := grid.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"campaign", grid.Fingerprint(plan), 0x059dedbcf11c7c2d},
+		{"faultsweep", sweep.Fingerprint(plan), 0xdab41c4ba450ea05},
+		{"stream", grid.StreamFingerprint(plan, stop, "util"), 0x58915f20b6aa919c},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s fingerprint = %016x, want %016x", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -289,4 +305,55 @@ func TestDistrunRefusesPreEpochWorker(t *testing.T) {
 		t.Fatalf("current worker: %v", err)
 	}
 	waitCoordinator(t, coErr, coOut)
+}
+
+// TestDistrunInterruptBeforeFirstCommitSavesNothing runs the real
+// coordinator (the test binary re-executing main) with -checkpoint and
+// no workers, and SIGINTs it once it listens. Nothing committed, so no
+// snapshot was written: the coordinator must exit with the interrupted
+// code and say that nothing was saved instead of naming a resumable file.
+func TestDistrunInterruptBeforeFirstCommitSavesNothing(t *testing.T) {
+	if os.Getenv("DISTRUN_REEXEC") == "1" {
+		os.Args = append([]string{"distrun"}, append(append([]string{}, campaignArgs...),
+			"-checkpoint", os.Getenv("DISTRUN_CKPT"), "-addr-file", os.Getenv("DISTRUN_ADDR"))...)
+		main()
+		t.Fatal("main returned instead of exiting")
+	}
+	dir := t.TempDir()
+	path, addrFile := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "addr")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestDistrunInterruptBeforeFirstCommitSavesNothing$")
+	cmd.Env = append(os.Environ(), "DISTRUN_REEXEC=1", "DISTRUN_CKPT="+path, "DISTRUN_ADDR="+addrFile)
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(addrFile); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("coordinator never published its address (output %q)", out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var ee *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &ee) || ee.ExitCode() != campaign.ExitInterrupted {
+		t.Fatalf("exit = %v, want code %d (output %q)", err, campaign.ExitInterrupted, out.String())
+	}
+	got := out.String()
+	if !strings.Contains(got, "no jobs committed, so nothing was saved to "+path) {
+		t.Errorf("output should say nothing was saved:\n%s", got)
+	}
+	if strings.Contains(got, "rerun with -resume") || strings.Contains(got, "resumable") {
+		t.Errorf("output advertises a snapshot that was never written:\n%s", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("snapshot file exists after a run that committed nothing (stat err %v)", err)
+	}
 }

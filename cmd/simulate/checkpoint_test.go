@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 	"reskit/internal/ckpt"
 	"reskit/internal/sim"
 )
@@ -93,6 +94,39 @@ func TestCampaignCheckpointTimeoutResume(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("snapshot should be removed after a completed campaign (stat err %v)", err)
+	}
+}
+
+// TestInterruptBeforeFirstCommitSavesNothing: a checkpointed run cut
+// short before its first job (grid) or block (stream) commits writes no
+// snapshot, so it must say that nothing was saved instead of pointing at
+// -resume and a file that does not exist.
+func TestInterruptBeforeFirstCommitSavesNothing(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"grid", "no jobs committed"},
+		{"stream", "no blocks committed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			args := campaignArgs("-checkpoint", path, "-timeout", "1ns")
+			if tc.name == "stream" {
+				args = streamArgs("-checkpoint", path, "-timeout", "1ns")
+			}
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := out.String()
+			if !strings.Contains(got, tc.want) || !strings.Contains(got, "nothing was saved to "+path) {
+				t.Errorf("output should say nothing was saved (%q):\n%s", tc.want, got)
+			}
+			if strings.Contains(got, "rerun with -resume") {
+				t.Errorf("output advertises a snapshot that was never written:\n%s", got)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("snapshot file exists after a run that committed nothing (stat err %v)", err)
+			}
+		})
 	}
 }
 
@@ -231,8 +265,8 @@ func TestSigintLeavesResumableSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatalf("want exit error after SIGINT, got %v (output %q)", err, out.String())
 	}
-	if code := ee.ExitCode(); code != exitInterrupted {
-		t.Fatalf("exit code = %d, want %d (output %q)", code, exitInterrupted, out.String())
+	if code := ee.ExitCode(); code != campaign.ExitInterrupted {
+		t.Fatalf("exit code = %d, want %d (output %q)", code, campaign.ExitInterrupted, out.String())
 	}
 	if !strings.Contains(out.String(), "rerun with -resume") {
 		t.Errorf("interrupted run should point at -resume, got %q", out.String())

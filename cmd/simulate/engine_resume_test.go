@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 )
 
 // stableLines strips the resume/interrupted/checkpoint status lines, so
@@ -124,8 +125,8 @@ func TestFaultsweepSigintResume(t *testing.T) {
 	if code == 0 {
 		t.Skipf("sweep finished before SIGINT landed; nothing to resume (output %q)", out.String())
 	}
-	if code != exitInterrupted {
-		t.Fatalf("exit code = %d, want %d (output %q)", code, exitInterrupted, out.String())
+	if code != campaign.ExitInterrupted {
+		t.Fatalf("exit code = %d, want %d (output %q)", code, campaign.ExitInterrupted, out.String())
 	}
 	if !strings.Contains(out.String(), "rerun with -resume") {
 		t.Errorf("interrupted sweep should point at -resume, got %q", out.String())
@@ -178,8 +179,8 @@ func TestWorkflowSigintResume(t *testing.T) {
 	if code == 0 {
 		t.Skipf("comparison finished before SIGINT landed; nothing to resume (output %q)", out.String())
 	}
-	if code != exitInterrupted {
-		t.Fatalf("exit code = %d, want %d (output %q)", code, exitInterrupted, out.String())
+	if code != campaign.ExitInterrupted {
+		t.Fatalf("exit code = %d, want %d (output %q)", code, campaign.ExitInterrupted, out.String())
 	}
 	st, err := reskit.LoadRunState(path)
 	if err != nil {
@@ -210,10 +211,9 @@ func TestCheckpointAllModesAccepted(t *testing.T) {
 		{"workflow", []string{
 			"-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
 			"-trials", "2000", "-seed", "3", "-strategies", "dynamic"}},
-		{"benchjson", []string{
+		{"campaign", []string{
 			"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
-			"-recovery", "1.5", "-totalwork", "120", "-trials", "50", "-seed", "3",
-			"-benchjson", filepath.Join(dir, "bench.json")}},
+			"-recovery", "1.5", "-totalwork", "120", "-trials", "50", "-seed", "3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, tc.name+".ckpt")

@@ -27,9 +27,7 @@
 //	simulate -campaign -R 29 -task 'norm:3,0.5@[0,inf]' -ckpt 'norm:5,0.4@[0,inf]' \
 //	    -recovery 1.5 -totalwork 500 -until-ci 'rel=0.005' -budget 200000
 //
-// Add -benchjson BENCH_campaign.json to record a serial-vs-parallel
-// throughput snapshot, and -cpuprofile/-memprofile to profile any mode
-// with runtime/pprof.
+// Add -cpuprofile/-memprofile to profile any mode with runtime/pprof.
 //
 // Every mode runs on the shared job engine (internal/engine): the run
 // is a grid of deterministic jobs — one Monte-Carlo block per strategy,
@@ -45,36 +43,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"reskit"
-	"reskit/internal/lawspec"
+	"reskit/cmd/internal/campaign"
 )
 
-// exitInterrupted is the exit code of a run cut short by SIGINT/SIGTERM:
-// workers drained cleanly and (with -checkpoint) the final snapshot plus
-// exact partial aggregates were written, so the run is resumable.
-const exitInterrupted = 3
-
-// errInterrupted marks a run stopped by a termination signal after a
-// graceful drain, distinguishing "resumable interruption" from failure.
-var errInterrupted = errors.New("interrupted by signal; partial results flushed")
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "simulate:", err)
-		if errors.Is(err, errInterrupted) {
-			os.Exit(exitInterrupted)
-		}
-		if errors.Is(err, errDegraded) {
-			os.Exit(exitDegraded)
-		}
-		os.Exit(1)
-	}
-}
+func main() { campaign.Exit("simulate", run(os.Args[1:], os.Stdout)) }
 
 // run executes one CLI invocation. Invalid inputs surface as errors
 // (constructors are the TryNew* variants, laws are parsed); there is
@@ -82,24 +58,14 @@ func main() {
 // programming bug and should crash loudly with its stack trace.
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
-	r := fs.Float64("R", 0, "reservation length (required)")
-	ckptSpec := fs.String("ckpt", "", "checkpoint-duration law (required)")
-	taskSpec := fs.String("task", "", "continuous task law")
-	taskDiscSpec := fs.String("taskdisc", "", "discrete task law")
+	var cf campaign.Flags
+	cf.Register(fs)
+	fs.Float64Var(&cf.CkptFail, "ckptfail", 0, "shorthand for -faults 'ckptfail=P' (Bernoulli checkpoint-commit failures)")
 	preempt := fs.Bool("preempt", false, "validate the preemptible scenario instead")
-	campaign := fs.Bool("campaign", false, "run a multi-reservation campaign Monte-Carlo instead")
-	totalWork := fs.Float64("totalwork", 500, "total application work for -campaign")
-	benchJSON := fs.String("benchjson", "", "with -campaign: write a serial-vs-parallel benchmark snapshot to this JSON file")
-	trials := fs.Int("trials", 100000, "Monte-Carlo trials")
-	seed := fs.Uint64("seed", 1, "random seed")
+	campaignMode := fs.Bool("campaign", false, "run a multi-reservation campaign Monte-Carlo instead")
 	workers := fs.Int("workers", 0, "parallel workers (0 = all CPUs)")
-	recovery := fs.Float64("recovery", 0, "recovery time at reservation start")
 	failRate := fs.Float64("failrate", 0, "fail-stop error rate inside the reservation (0 = failure-free)")
-	faultSpec := fs.String("faults", "", "fault plan, e.g. 'crash=exp:0.02,ckptfail=0.05,revoke=uniform:0.1'")
-	mtbf := fs.Float64("mtbf", 0, "shorthand for -faults 'crash=exp:1/MTBF' (exponential fail-stop crashes)")
-	ckptFailP := fs.Float64("ckptfail", 0, "shorthand for -faults 'ckptfail=P' (Bernoulli checkpoint-commit failures)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; the Monte-Carlo stops cleanly at the deadline and reports the trials completed")
-	faultSweep := fs.String("faultsweep", "", "with -campaign: comma-separated MTBF grid; reruns the campaign at each MTBF and prints the lost-work/completion trade-off")
 	untilCI := fs.String("until-ci", "", "with -campaign: stream trial blocks until this stopping rule fires, e.g. 'rel=0.005,conf=0.99,min=5000,qtol=0.02' (a bare number means rel=); replaces -trials")
 	stopTarget := fs.String("target", "util", "with -until-ci: the metric the stopping rule watches (util, lost, res)")
 	budget := fs.Int("budget", 0, "with -campaign streaming: hard trial cap, rounded up to whole blocks (0 with -until-ci = unbounded); replaces -trials")
@@ -124,42 +90,9 @@ func run(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *r <= 0 {
-		return errors.New("-R must be positive")
-	}
-	if *ckptSpec == "" {
-		return errors.New("-ckpt is required")
-	}
-	ckpt, err := lawspec.Parse(*ckptSpec)
+	ckpt, plan, err := cf.Parse()
 	if err != nil {
 		return err
-	}
-	plan, err := reskit.ParseFaults(*faultSpec)
-	if err != nil {
-		return err
-	}
-	if *mtbf != 0 {
-		if !(*mtbf > 0) {
-			return errors.New("-mtbf must be positive")
-		}
-		crash, err := reskit.CrashExponential(1 / *mtbf)
-		if err != nil {
-			return err
-		}
-		if plan == nil {
-			plan = &reskit.FaultPlan{}
-		}
-		plan.Crash = crash
-	}
-	if *ckptFailP != 0 {
-		ckptModel, err := reskit.CkptFailBernoulli(*ckptFailP)
-		if err != nil {
-			return err
-		}
-		if plan == nil {
-			plan = &reskit.FaultPlan{}
-		}
-		plan.Ckpt = ckptModel
 	}
 	if *resume && *checkpointPath == "" {
 		return errors.New("-resume requires -checkpoint")
@@ -181,23 +114,16 @@ func run(args []string, out io.Writer) (err error) {
 	// SIGINT/SIGTERM cancel the context: workers drain at the next block
 	// boundary, partial aggregates are reported exactly, and (with
 	// -checkpoint) a final snapshot lands on disk before the process exits
-	// with the distinct "interrupted but resumable" code.
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	// with the distinct "interrupted" code — which fires even when the
+	// mode function finishes its partial report cleanly.
+	sigCtx, finishSignals := campaign.Signals()
+	defer finishSignals(&err)
 	ctx := sigCtx
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// The interrupted exit code must fire even when the mode function
-	// finishes its partial report cleanly, so the signal check wraps every
-	// successful return below.
-	defer func() {
-		if err == nil && sigCtx.Err() != nil {
-			err = errInterrupted
-		}
-	}()
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
@@ -216,7 +142,7 @@ func run(args []string, out io.Writer) (err error) {
 	// progress ETA, and a fault sweep repeats it per grid row; the workflow
 	// mode runs one Monte-Carlo per strategy, so progress renders counts
 	// and rate without a percentage.
-	streaming := *campaign && (*untilCI != "" || *budget > 0)
+	streaming := *campaignMode && (*untilCI != "" || *budget > 0)
 	progressTotal := int64(0)
 	switch {
 	case streaming:
@@ -224,10 +150,10 @@ func run(args []string, out io.Writer) (err error) {
 		// one the total is unknown and progress renders counts and rate
 		// with the live CI half-width instead of an ETA.
 		progressTotal = int64(reskit.StreamBlocks(*budget)) * reskit.StreamBlockTrials
-	case *campaign && *benchJSON == "":
-		progressTotal = int64(*trials)
-		if *faultSweep != "" {
-			progressTotal *= int64(len(strings.Split(*faultSweep, ",")))
+	case *campaignMode:
+		progressTotal = int64(cf.Trials)
+		if cf.FaultSweep != "" {
+			progressTotal *= int64(len(strings.Split(cf.FaultSweep, ",")))
 		}
 	}
 	// The saved-work distribution always feeds the "sim.saved_work"
@@ -235,7 +161,7 @@ func run(args []string, out io.Writer) (err error) {
 	// only while -hist keeps it alive.
 	savedMax := 0.0
 	if *hist {
-		savedMax = *r
+		savedMax = cf.R
 	}
 	ob, err := setupObs(out, *progress, *metricsPath, *listenAddr, *tracePath, *traceEvery, savedMax, progressTotal)
 	if err != nil {
@@ -252,7 +178,7 @@ func run(args []string, out io.Writer) (err error) {
 	// bit-identical.
 	ck := ckptOpts{path: *checkpointPath, interval: *checkpointInterval, resume: *resume, failure: failure}
 	if streaming {
-		if *faultSweep != "" {
+		if cf.FaultSweep != "" {
 			return errors.New("-until-ci/-budget are incompatible with -faultsweep")
 		}
 		if failure.KeepGoing {
@@ -262,76 +188,41 @@ func run(args []string, out io.Writer) (err error) {
 		if err != nil {
 			return fmt.Errorf("-until-ci: %w", err)
 		}
-		// The stream fingerprint carries the stop rule and its target —
-		// they shape where the run ends — but neither the budget nor the
-		// worker count: resuming with a different budget is as legal as
-		// resuming with different parallelism, and still bit-identical on
-		// the shared prefix.
-		ck.fingerprint = reskit.ConfigFingerprint(
-			"campaign stream target="+*stopTarget+" stop="+stop.String(),
-			fmt.Sprintf("R=%g", *r),
-			fmt.Sprintf("recovery=%g", *recovery),
-			"task="+*taskSpec,
-			"taskdisc="+*taskDiscSpec,
-			"ckpt="+*ckptSpec,
-			fmt.Sprintf("totalwork=%g", *totalWork),
-			fmt.Sprintf("faults=%v", plan),
-			fmt.Sprintf("seed=%d", *seed),
-		)
-		return runCampaignStream(ctx, out, *r, *recovery, *totalWork, *taskSpec, *taskDiscSpec,
-			ckpt, stop, *stopTarget, *budget, *seed, *workers, *benchJSON, plan, ck, ob)
+		ck.fingerprint = cf.StreamFingerprint(plan, stop, *stopTarget)
+		return runCampaignStream(ctx, out, &cf, ckpt, plan, stop, *stopTarget, *budget, *workers, ck, ob)
 	}
 	if *untilCI != "" || *budget > 0 {
 		return errors.New("-until-ci and -budget require -campaign")
 	}
-	if *campaign {
-		mode := "campaign"
-		switch {
-		case *faultSweep != "":
-			mode = "campaign faultsweep=" + *faultSweep
-		case *benchJSON != "":
-			mode = "campaign benchjson"
-		}
-		ck.fingerprint = reskit.ConfigFingerprint(
-			mode,
-			fmt.Sprintf("R=%g", *r),
-			fmt.Sprintf("recovery=%g", *recovery),
-			"task="+*taskSpec,
-			"taskdisc="+*taskDiscSpec,
-			"ckpt="+*ckptSpec,
-			fmt.Sprintf("totalwork=%g", *totalWork),
-			fmt.Sprintf("faults=%v", plan),
-			fmt.Sprintf("trials=%d", *trials),
-			fmt.Sprintf("seed=%d", *seed),
-		)
-		return runCampaignMode(ctx, out, *r, *recovery, *totalWork, *taskSpec, *taskDiscSpec,
-			ckpt, *trials, *seed, *workers, *benchJSON, plan, *faultSweep, ck, ob)
+	if *campaignMode {
+		ck.fingerprint = cf.Fingerprint(plan)
+		return runCampaignGrid(ctx, out, &cf, ckpt, plan, *workers, ck, ob)
 	}
-	if *faultSweep != "" {
+	if cf.FaultSweep != "" {
 		return errors.New("-faultsweep requires -campaign")
 	}
 	if *preempt {
 		ck.fingerprint = reskit.ConfigFingerprint(
 			"preempt",
-			fmt.Sprintf("R=%g", *r),
-			"ckpt="+*ckptSpec,
-			fmt.Sprintf("trials=%d", *trials),
-			fmt.Sprintf("seed=%d", *seed),
+			fmt.Sprintf("R=%g", cf.R),
+			"ckpt="+cf.Ckpt,
+			fmt.Sprintf("trials=%d", cf.Trials),
+			fmt.Sprintf("seed=%d", cf.Seed),
 		)
-		return runPreempt(ctx, out, *r, ckpt, *trials, *seed, *workers, ck, ob)
+		return runPreempt(ctx, out, cf.R, ckpt, cf.Trials, cf.Seed, *workers, ck, ob)
 	}
 	ck.fingerprint = reskit.ConfigFingerprint(
 		"workflow",
-		fmt.Sprintf("R=%g", *r),
-		fmt.Sprintf("recovery=%g", *recovery),
+		fmt.Sprintf("R=%g", cf.R),
+		fmt.Sprintf("recovery=%g", cf.Recovery),
 		fmt.Sprintf("failrate=%g", *failRate),
-		"task="+*taskSpec,
-		"taskdisc="+*taskDiscSpec,
-		"ckpt="+*ckptSpec,
+		"task="+cf.Task,
+		"taskdisc="+cf.TaskDisc,
+		"ckpt="+cf.Ckpt,
 		"strategies="+*strategies,
 		fmt.Sprintf("faults=%v", plan),
-		fmt.Sprintf("trials=%d", *trials),
-		fmt.Sprintf("seed=%d", *seed),
+		fmt.Sprintf("trials=%d", cf.Trials),
+		fmt.Sprintf("seed=%d", cf.Seed),
 	)
-	return runWorkflow(ctx, out, *r, *recovery, *failRate, *taskSpec, *taskDiscSpec, ckpt, *trials, *seed, *workers, *strategies, *hist, plan, ck, ob)
+	return runWorkflow(ctx, out, cf.R, cf.Recovery, *failRate, cf.Task, cf.TaskDisc, ckpt, cf.Trials, cf.Seed, *workers, *strategies, *hist, plan, ck, ob)
 }

@@ -154,14 +154,12 @@ func (o *simObs) counted(s reskit.Strategy) reskit.Strategy {
 	return reskit.CountedStrategy(s, o.reg)
 }
 
-// snapshot returns the current metrics snapshot, or nil when
-// observability is off — shaped for embedding into the benchjson file.
-func (o *simObs) snapshot() *reskit.ObsSnapshot {
-	if o == nil {
-		return nil
-	}
-	s := o.reg.Snapshot()
-	return &s
+// instrument installs the observer and the decision counters on a
+// campaign's reservation config, once its strategy is in place. Safe on
+// a nil *simObs.
+func (o *simObs) instrument(cfg *reskit.SimConfig) {
+	o.attach(cfg)
+	cfg.Strategy = o.counted(cfg.Strategy)
 }
 
 // shutdown stops the endpoint, the progress reporter, and flushes the

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"reskit"
-	"reskit/internal/benchkit"
 )
 
 // TestMalformedCkptExitsCleanly runs the real binary (the test executable
@@ -211,44 +210,36 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestCampaignBenchEmbedsMetrics checks the benchjson snapshot gains a
-// metrics block when observability is on, and omits it when off.
-func TestCampaignBenchEmbedsMetrics(t *testing.T) {
-	dir := t.TempDir()
-	bench := filepath.Join(dir, "bench.json")
+// TestCampaignMetricsFile checks that a campaign's -metrics file carries
+// the campaign counter and the engine's throughput instruments: the
+// per-job wall-time sketch and the jobs/s gauge.
+func TestCampaignMetricsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
 	var buf bytes.Buffer
 	err := run([]string{
 		"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
 		"-recovery", "1.5", "-totalwork", "120", "-trials", "60", "-seed", "2",
-		"-benchjson", bench, "-metrics", filepath.Join(dir, "m.json"),
+		"-metrics", path,
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(bench)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := benchkit.Load(bench)
-	if err != nil {
-		t.Fatalf("invalid snapshot: %v\n%s", err, data)
+	var snap reskit.ObsSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("metrics file is not valid JSON: %v", err)
 	}
-	if len(snap.Results) == 0 {
-		t.Fatalf("no result rows:\n%s", data)
+	if got := snap.Counters["sim.campaigns"]; got != 60 {
+		t.Errorf("sim.campaigns = %d, want 60", got)
 	}
-	for _, row := range snap.Results {
-		if row.Metrics == nil {
-			t.Fatal("benchjson should carry registry metrics when -metrics is active")
-		}
-		if row.Metrics["sim.campaigns"] <= 0 {
-			t.Errorf("sim.campaigns = %g, want > 0", row.Metrics["sim.campaigns"])
-		}
-		if _, ok := row.Metrics["engine.jobs_per_sec"]; !ok {
-			t.Errorf("row %s missing engine.jobs_per_sec: %v", row.Key(), row.Metrics)
-		}
-		if _, ok := row.Metrics["engine.ns_per_job.p50"]; !ok {
-			t.Errorf("row %s missing engine.ns_per_job.p50: %v", row.Key(), row.Metrics)
-		}
+	if _, ok := snap.Gauges["engine.jobs_per_sec"]; !ok {
+		t.Errorf("engine.jobs_per_sec missing (gauges %v)", snap.Gauges)
+	}
+	if q, ok := snap.Quantiles["engine.ns_per_job"]; !ok || !(q.P50 > 0) {
+		t.Errorf("engine.ns_per_job = %+v, want a positive p50", q)
 	}
 }
 

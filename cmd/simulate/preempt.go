@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 	"reskit/internal/engine"
 	"reskit/internal/rng"
 	"reskit/internal/sim"
@@ -58,7 +59,7 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 
 	check := func(_ int, data []byte) error { return sim.CheckPreemptiblePayload(data) }
 	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, check))
-	if err := hardFailure(ctx, runErr, res); err != nil {
+	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
 
@@ -70,7 +71,7 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 			return err
 		}
 		if int(agg.Trials) < trials {
-			fmt.Fprintf(tw, "%s\t(%s after %d/%d trials)\n", pol.name, stopMarker(ctx), agg.Trials, trials)
+			fmt.Fprintf(tw, "%s\t(%s after %d/%d trials)\n", pol.name, campaign.StopMarker(ctx), agg.Trials, trials)
 			break
 		}
 		if pol.oracle {
@@ -84,5 +85,5 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	return finishRun(ctx, out, runErr, res, ckOpts)
+	return campaign.Report{Ctx: ctx, Out: out, Path: ckOpts.path}.Finish(runErr, res)
 }

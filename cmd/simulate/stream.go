@@ -5,16 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 	"time"
 
 	"reskit"
-	"reskit/internal/benchkit"
+	"reskit/cmd/internal/campaign"
 )
 
-// streamStopReason names why a streaming run ended, for the summary row
-// and the benchjson snapshot.
+// streamStopReason names why a streaming run ended, for the summary row.
 func streamStopReason(ctx context.Context, sres *reskit.EngineStreamResult) string {
 	switch {
 	case sres.Stopped:
@@ -22,24 +20,23 @@ func streamStopReason(ctx context.Context, sres *reskit.EngineStreamResult) stri
 	case sres.Exhausted:
 		return "trial budget exhausted"
 	case ctx.Err() != nil:
-		return stopMarker(ctx)
+		return campaign.StopMarker(ctx)
 	default:
 		return "run failed"
 	}
 }
 
-// runCampaignStream is the open-ended flavor of runCampaignMode: instead
+// runCampaignStream is the open-ended flavor of runCampaignGrid: instead
 // of a fixed trial grid, the campaign streams whole blocks through the
 // engine until the -until-ci stopping rule fires on the -target metric
 // or the -budget trial cap runs out. Blocks commit in strict index
 // order, so the stopping frontier — and every printed aggregate — is
 // bit-identical for any worker count, including runs killed and resumed
 // from a -checkpoint frontier snapshot.
-func runCampaignStream(ctx context.Context, out io.Writer, r, recovery, totalWork float64, taskSpec, taskDiscSpec string,
-	ckpt reskit.Continuous, stop reskit.StopSpec, target string, budget int, seed uint64, workers int,
-	benchJSON string, plan *reskit.FaultPlan, ckOpts ckptOpts, ob *simObs) error {
+func runCampaignStream(ctx context.Context, out io.Writer, cf *campaign.Flags, ckpt reskit.Continuous,
+	plan *reskit.FaultPlan, stop reskit.StopSpec, target string, budget, workers int, ck ckptOpts, ob *simObs) error {
 
-	cfg, desc, err := campaignBase(r, recovery, totalWork, taskSpec, taskDiscSpec, ckpt, plan, ob)
+	cfg, desc, err := cf.Config(ckpt, plan, ob.instrument)
 	if err != nil {
 		return err
 	}
@@ -48,13 +45,13 @@ func runCampaignStream(ctx context.Context, out io.Writer, r, recovery, totalWor
 		return err
 	}
 
-	fmt.Fprintf(out, "campaign stream: R=%g, %s, total work %g\n", r, desc, totalWork)
+	fmt.Fprintf(out, "campaign stream: R=%g, %s, total work %g\n", cf.R, desc, cf.TotalWork)
 	if stop.Active() {
 		fmt.Fprintf(out, "until: %s CI %s (blocks of %d trials)\n", cs.Target(), stop, reskit.StreamBlockTrials)
 	}
+	maxBlocks := reskit.StreamBlocks(budget)
 	if budget > 0 {
-		fmt.Fprintf(out, "budget: %d trials (%d blocks)\n",
-			reskit.StreamBlocks(budget)*reskit.StreamBlockTrials, reskit.StreamBlocks(budget))
+		fmt.Fprintf(out, "budget: %d trials (%d blocks)\n", maxBlocks*reskit.StreamBlockTrials, maxBlocks)
 	}
 	if plan.Active() {
 		fmt.Fprintf(out, "faults: %v\n", plan)
@@ -64,12 +61,12 @@ func runCampaignStream(ctx context.Context, out io.Writer, r, recovery, totalWor
 	spec := reskit.EngineStreamSpec{
 		Source:      cs.Source(),
 		Sink:        cs,
-		Seed:        seed,
-		Fingerprint: ckOpts.fingerprint,
+		Seed:        cf.Seed,
+		Fingerprint: ck.fingerprint,
 		Workers:     workers,
-		MaxJobs:     reskit.StreamBlocks(budget),
-		Checkpoint:  reskit.EngineCheckpoint{Path: ckOpts.path, Interval: ckOpts.interval, Resume: ckOpts.resume},
-		Failure:     ckOpts.failure,
+		MaxJobs:     maxBlocks,
+		Checkpoint:  reskit.EngineCheckpoint{Path: ck.path, Interval: ck.interval, Resume: ck.resume},
+		Failure:     ck.failure,
 		Log:         out,
 	}
 	if ob != nil {
@@ -82,80 +79,34 @@ func runCampaignStream(ctx context.Context, out io.Writer, r, recovery, totalWor
 		return err
 	}
 
-	reason := streamStopReason(ctx, sres)
 	agg := cs.Aggregate()
-	freshTrials := sres.Fresh() * reskit.StreamBlockTrials
-
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "trials\t%d (%d blocks", agg.Trials, sres.Committed)
 	if sres.Restored > 0 {
 		fmt.Fprintf(tw, ", %d restored", sres.Restored)
 	}
 	fmt.Fprintf(tw, ")\n")
-	fmt.Fprintf(tw, "stopped\t%s\n", reason)
+	fmt.Fprintf(tw, "stopped\t%s\n", streamStopReason(ctx, sres))
 	if stop.Active() {
-		hw := cs.HalfWidth()
-		mean := cs.TargetSummary().Mean()
-		fmt.Fprintf(tw, "mean %s\t%.6g ± %.3g\n", cs.Target(), mean, hw)
+		fmt.Fprintf(tw, "mean %s\t%.6g ± %.3g\n", cs.Target(), cs.TargetSummary().Mean(), cs.HalfWidth())
 	}
-	fmt.Fprintf(tw, "mean reservations\t%.4g\n", agg.Reservations)
-	fmt.Fprintf(tw, "mean utilization\t%.4g\n", agg.Utilization)
-	fmt.Fprintf(tw, "mean lost work\t%.4g\n", agg.LostWork)
-	if plan.Active() {
-		fmt.Fprintf(tw, "mean ckpt faults\t%.4g\n", agg.CkptFaults)
-		fmt.Fprintf(tw, "mean crashes\t%.4g\n", agg.Crashes)
-		fmt.Fprintf(tw, "mean revoked res\t%.4g\n", agg.RevokedRes)
-	}
+	campaign.MeanRows(tw, agg, plan.Active())
 	fmt.Fprintf(tw, "util p50/p90/p99\t%.4g / %.4g / %.4g\n",
 		cs.UtilizationQuantile(0.5), cs.UtilizationQuantile(0.9), cs.UtilizationQuantile(0.99))
 	fmt.Fprintf(tw, "completion rate\t%.4g\n", agg.CompletionRate)
 	fmt.Fprintf(tw, "wall time\t%v (%.0f trials/s)\n",
-		elapsed.Round(time.Millisecond), float64(freshTrials)/elapsed.Seconds())
+		elapsed.Round(time.Millisecond), float64(sres.Fresh()*reskit.StreamBlockTrials)/elapsed.Seconds())
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if ferr := finishStream(ctx, out, runErr, sres, ckOpts); ferr != nil {
-		return ferr
-	}
-
-	if benchJSON == "" || runErr != nil {
-		return nil
-	}
-	snap := benchkit.NewSnapshot()
-	row := benchkit.Result{
-		Name:       "campaign-stream",
-		Workers:    workers,
-		Trials:     int64(agg.Trials),
-		Reps:       1,
-		StopReason: reason,
-	}
-	if freshTrials > 0 && elapsed > 0 {
-		row.NsPerTrial = float64(elapsed.Nanoseconds()) / float64(freshTrials)
-		row.TrialsPerSec = float64(freshTrials) / elapsed.Seconds()
-	}
-	row.Metrics = engineMetrics(ob)
-	if row.Metrics == nil {
-		row.Metrics = make(map[string]float64, 4)
-	}
-	row.Metrics["campaign.mean_reservations"] = agg.Reservations
-	row.Metrics["campaign.mean_utilization"] = agg.Utilization
-	row.Metrics["campaign.mean_lost_work"] = agg.LostWork
-	if hw := cs.HalfWidth(); !math.IsInf(hw, 0) && !math.IsNaN(hw) {
-		row.Metrics["campaign.stop_halfwidth"] = hw
-	}
-	snap.Results = []benchkit.Result{row}
-	if err := snap.Write(benchJSON); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nstream snapshot -> %s\n", benchJSON)
-	return nil
+	return campaign.Report{Ctx: ctx, Out: out, Path: ck.path}.FinishStream(runErr, sres)
 }
 
-// hardStreamFailure is hardFailure for streaming runs: interruptions
-// fall through to the partial report, and so does a run that reached a
-// natural end (stop rule fired, budget exhausted) but could not persist
-// its final snapshot — the results printed are complete. Everything
-// else aborts before numbers print.
+// hardStreamFailure is campaign.HardFailure for streaming runs:
+// interruptions fall through to the partial report, and so does a run
+// that reached a natural end (stop rule fired, budget exhausted) but
+// could not persist its final snapshot — the results printed are
+// complete. Everything else aborts before numbers print.
 func hardStreamFailure(ctx context.Context, runErr error, sres *reskit.EngineStreamResult) error {
 	if runErr == nil || ctx.Err() != nil {
 		return nil
@@ -165,28 +116,4 @@ func hardStreamFailure(ctx context.Context, runErr error, sres *reskit.EngineStr
 		return nil
 	}
 	return runErr
-}
-
-// finishStream emits the post-run status block of a streaming run: the
-// snapshot-loss warning and the resume hint, mirroring finishRun for a
-// frontier (rather than a job-set) snapshot.
-func finishStream(ctx context.Context, out io.Writer, runErr error, sres *reskit.EngineStreamResult, ck ckptOpts) error {
-	if runErr == nil {
-		return nil
-	}
-	var serr *reskit.EngineSnapshotError
-	snapLost := errors.As(runErr, &serr)
-	if snapLost {
-		fmt.Fprintf(out, "\nWARNING: run state is not durable: %v\n", serr.Err)
-	}
-	if ctx.Err() != nil && ck.path != "" {
-		if snapLost {
-			fmt.Fprintf(out, "interrupted: %d blocks committed, but the snapshot at %s is stale or missing — resuming will recompute the lost work\n",
-				sres.Committed, ck.path)
-		} else {
-			fmt.Fprintf(out, "\ninterrupted: frontier at block %d committed to %s; rerun with -resume to continue\n",
-				sres.Committed, ck.path)
-		}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 )
 
 // streamArgs is the fixed streaming campaign of the CLI tests: a
@@ -103,15 +104,13 @@ func TestStreamWorkerInvariance(t *testing.T) {
 }
 
 // TestStreamBudgetExhausted: without a stopping rule the budget bounds
-// the stream (rounded up to whole blocks) and the summary plus the
-// benchjson row carry the stop reason.
+// the stream (rounded up to whole blocks) and the summary carries the
+// stop reason.
 func TestStreamBudgetExhausted(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "stream.json")
 	args := []string{
 		"-campaign", "-R", "29", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]",
 		"-recovery", "1.5", "-totalwork", "150", "-seed", "9",
-		"-budget", "100", "-benchjson", jsonPath,
+		"-budget", "100",
 	}
 	var out bytes.Buffer
 	if err := run(args, &out); err != nil {
@@ -125,15 +124,6 @@ func TestStreamBudgetExhausted(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("benchjson snapshot: %v", err)
-	}
-	for _, want := range []string{`"campaign-stream"`, `"stop_reason": "trial budget exhausted"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("benchjson missing %s:\n%s", want, data)
 		}
 	}
 }
@@ -175,8 +165,8 @@ func TestStreamSoakSigintResume(t *testing.T) {
 	if code == 0 {
 		t.Skipf("stream finished before SIGINT landed; nothing to resume (output %q)", out.String())
 	}
-	if code != exitInterrupted {
-		t.Fatalf("exit code = %d, want %d (output %q)", code, exitInterrupted, out.String())
+	if code != campaign.ExitInterrupted {
+		t.Fatalf("exit code = %d, want %d (output %q)", code, campaign.ExitInterrupted, out.String())
 	}
 	if !strings.Contains(out.String(), "rerun with -resume") {
 		t.Errorf("interrupted stream should point at -resume, got %q", out.String())

@@ -10,6 +10,7 @@ import (
 	"text/tabwriter"
 
 	"reskit"
+	"reskit/cmd/internal/campaign"
 	"reskit/internal/dist"
 	"reskit/internal/engine"
 	"reskit/internal/lawspec"
@@ -166,7 +167,7 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 
 	check := func(_ int, data []byte) error { return sim.CheckMonteCarloPayload(data) }
 	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, check))
-	if err := hardFailure(ctx, runErr, res); err != nil {
+	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
 
@@ -199,7 +200,7 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 			}
 		}
 		if int(agg.Trials) < trials {
-			fmt.Fprintf(tw, "%s\t(%s after %d/%d trials)\n", s.name, stopMarker(ctx), agg.Trials, trials)
+			fmt.Fprintf(tw, "%s\t(%s after %d/%d trials)\n", s.name, campaign.StopMarker(ctx), agg.Trials, trials)
 			break
 		}
 		if hist {
@@ -213,9 +214,9 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 	}
 	if runErr != nil {
 		if ctx.Err() != nil {
-			fmt.Fprintf(out, "\n%s (%v); remaining strategies skipped\n", stopMarker(ctx), runErr)
+			fmt.Fprintf(out, "\n%s (%v); remaining strategies skipped\n", campaign.StopMarker(ctx), runErr)
 		}
-		return finishRun(ctx, out, runErr, res, ckOpts)
+		return campaign.Report{Ctx: ctx, Out: out, Path: ckOpts.path}.Finish(runErr, res)
 	}
 	fmt.Fprintf(out, "\nstatic n_opt = %d (E = %.5g analytic)\n", sol.NOpt, sol.ENOpt)
 	if wErr == nil {

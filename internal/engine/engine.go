@@ -111,8 +111,8 @@ type Spec struct {
 	// "engine.jobs_done" and "engine.jobs_restored" counters, the
 	// "engine.ns_per_job" quantile sketch (p50/p90/p99 of per-job wall
 	// time) — plus the checkpoint writer's "ckpt.*" set. These are the
-	// same numbers -metrics and -benchjson report: one source of truth
-	// for per-mode throughput.
+	// same numbers -metrics reports: one source of truth for per-mode
+	// throughput.
 	Reg *obs.Registry
 
 	// Progress, when non-nil, is ticked once per job; restored jobs

@@ -45,7 +45,7 @@ func BenchmarkMCBlockStatic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Reinit(7, uint64(i))
-		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, Run, nil)
+		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, false, nil)
 	}
 	b.ReportMetric(mcBlockSize, "trials/op")
 }
@@ -56,12 +56,12 @@ func BenchmarkMCBlockDynamic(b *testing.B) {
 	var src rng.Source
 	src.Reinit(7, 0)
 	// Build the coefficient table outside the timed region.
-	benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, Run, nil)
+	benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, false, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Reinit(7, uint64(i))
-		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, Run, nil)
+		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, false, nil)
 	}
 	b.ReportMetric(mcBlockSize, "trials/op")
 }
@@ -73,7 +73,7 @@ func BenchmarkMCBlockOracle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Reinit(7, uint64(i))
-		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, RunOracle, nil)
+		benchAggSink, _ = runMCBlock(cfg, mcBlockSize, 0, &src, true, nil)
 	}
 	b.ReportMetric(mcBlockSize, "trials/op")
 }
@@ -149,20 +149,20 @@ func TestZeroSteadyStateAllocsPerBlock(t *testing.T) {
 	dyn := core.NewDynamic(29, paperTask(), paperCkpt(5, 0.4))
 	cfg := fig8Config(strategy.NewDynamic(dyn))
 	src.Reinit(7, 0)
-	runMCBlock(cfg, mcBlockSize, 0, &src, Run, nil)
+	runMCBlock(cfg, mcBlockSize, 0, &src, false, nil)
 	mcAllocs := testing.AllocsPerRun(10, func() {
 		src.Reinit(7, 0)
-		runMCBlock(cfg, mcBlockSize, 0, &src, Run, nil)
+		runMCBlock(cfg, mcBlockSize, 0, &src, false, nil)
 	})
 	if mcAllocs > 0.5 {
 		t.Errorf("dynamic MC block: %.1f allocs/block in steady state, want 0", mcAllocs)
 	}
 
 	src.Reinit(7, 0)
-	runMCBlock(cfg, mcBlockSize, 0, &src, RunOracle, nil)
+	runMCBlock(cfg, mcBlockSize, 0, &src, true, nil)
 	oracleAllocs := testing.AllocsPerRun(10, func() {
 		src.Reinit(7, 0)
-		runMCBlock(cfg, mcBlockSize, 0, &src, RunOracle, nil)
+		runMCBlock(cfg, mcBlockSize, 0, &src, true, nil)
 	})
 	// 2048 trials/block, two pooled slices per trial before pooling;
 	// a handful of pool refills per block is still a ~1000x reduction.

@@ -35,7 +35,9 @@ func NumMonteCarloBlocks(trials int) int {
 }
 
 // NumCampaignBlocks returns the block-grid size of the campaign
-// runners (MonteCarloCampaign*).
+// runners (MonteCarloCampaign*), which is also the job cap
+// (engine.StreamSpec.MaxJobs) of a campaign stream with that trial
+// budget: streamed blocks are all-or-nothing, so a budget rounds up.
 func NumCampaignBlocks(trials int) int {
 	if trials <= 0 {
 		return 0
@@ -54,11 +56,7 @@ func MonteCarloBlockPayload(ctx context.Context, cfg Config, trials, block int, 
 	if err := checkBlock(trials, block, NumMonteCarloBlocks(trials)); err != nil {
 		return nil, err
 	}
-	run := Run
-	if oracle {
-		run = RunOracle
-	}
-	agg, complete := runMCBlock(cfg, trials, block, src, run, ctx.Done())
+	agg, complete := runMCBlock(cfg, trials, block, src, oracle, ctx.Done())
 	if !complete {
 		return nil, interruptErr(ctx)
 	}

@@ -186,42 +186,58 @@ func MonteCarloCampaignContext(ctx context.Context, cfg CampaignConfig, trials i
 
 // runCampaignBlock simulates the campaign trials of block b
 // ([b*campaignBlockSize, ...)) on src and returns the block's running
-// sums. cfg is received by value, so the per-trial index stamp for
-// deterministic trace sampling never races other workers. complete is
-// false when done fired mid-campaign — such a block must never be
+// sums. complete is false when done fired mid-campaign: the sums then
+// cover the trials that finished, and such a block must never be
 // committed as durable state, nor counted as a completed block.
 func runCampaignBlock(cfg CampaignConfig, trials, b int, src *rng.Source, done <-chan struct{}) (p campaignPartial, complete bool) {
 	lo := b * campaignBlockSize
-	hi := lo + campaignBlockSize
-	if hi > trials {
-		hi = trials
+	n := min(campaignBlockSize, trials-lo)
+	var rs [campaignBlockSize]CampaignResult
+	ran := runCampaignTrials(cfg, lo, rs[:n], src, done)
+	for i := range rs[:ran] {
+		p.addTrial(&rs[i])
 	}
+	return p, ran == n
+}
+
+// runCampaignTrials is the trial loop of every campaign block: it runs
+// the campaigns of trials lo, lo+1, ... on src into rs, in trial order,
+// and returns how many ran — fewer than len(rs) when done fired
+// mid-campaign. Callers fold what they need from rs. cfg is received by
+// value, so the per-trial index stamp for deterministic trace sampling
+// never races other workers.
+func runCampaignTrials(cfg CampaignConfig, lo int, rs []CampaignResult, src *rng.Source, done <-chan struct{}) int {
 	ob := cfg.Reservation.Obs
 	tracing := ob != nil && ob.Trace != nil
-	for i := lo; i < hi; i++ {
+	for k := range rs {
 		if tracing {
-			cfg.Reservation.trial = int64(i)
+			cfg.Reservation.trial = int64(lo + k)
 		}
 		r, interrupted := runCampaign(&cfg, src, done)
 		if interrupted {
-			return p, false
+			return k
 		}
 		ob.tickCampaign()
 		ob.tickProgress(1)
 		ob.tickProgressWork(int64(r.Reservations), r.Committed)
-		p.res += float64(r.Reservations)
-		p.util += r.Utilization()
-		p.lost += r.LostWork
-		p.ckptFaults += float64(r.CkptFaults)
-		p.crashes += float64(r.Crashes)
-		p.revoked += float64(r.RevokedRes)
-		if r.Completed {
-			p.completed++
-		}
-		p.trials++
+		rs[k] = r
 	}
 	ob.tickBlock()
-	return p, true
+	return len(rs)
+}
+
+// addTrial folds one campaign's result into p.
+func (p *campaignPartial) addTrial(r *CampaignResult) {
+	p.res += float64(r.Reservations)
+	p.util += r.Utilization()
+	p.lost += r.LostWork
+	p.ckptFaults += float64(r.CkptFaults)
+	p.crashes += float64(r.Crashes)
+	p.revoked += float64(r.RevokedRes)
+	if r.Completed {
+		p.completed++
+	}
+	p.trials++
 }
 
 // add folds another block's running sums into p.

@@ -81,7 +81,7 @@ const mcBlockSize = 2048
 // deterministic order — the aggregate depends only on (cfg, trials,
 // seed), never on the worker count or goroutine scheduling.
 func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, Run)
+	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, false)
 	return agg
 }
 
@@ -91,23 +91,21 @@ func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
 // completed trial alongside ctx.Err(). Without cancellation the result
 // is bit-identical to MonteCarlo and the error is nil.
 func MonteCarloContext(ctx context.Context, cfg Config, trials int, seed uint64, workers int) (Aggregate, error) {
-	return monteCarloRunner(ctx, cfg, trials, seed, workers, Run)
+	return monteCarloRunner(ctx, cfg, trials, seed, workers, false)
 }
 
 // MonteCarloOracle is MonteCarlo with the clairvoyant scheduler.
 func MonteCarloOracle(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, RunOracle)
+	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, true)
 	return agg
 }
 
-func monteCarloRunner(ctx context.Context, cfg Config, trials int, seed uint64, workers int,
-	run func(Config, *rng.Source) RunResult) (Aggregate, error) {
-
+func monteCarloRunner(ctx context.Context, cfg Config, trials int, seed uint64, workers int, oracle bool) (Aggregate, error) {
 	cfg.validate()
 	parts := make([]Aggregate, NumMonteCarloBlocks(trials))
 	err := runBlocks(ctx, len(parts), seed, workers, func(b int, src *rng.Source, done <-chan struct{}) bool {
 		var complete bool
-		parts[b], complete = runMCBlock(cfg, trials, b, src, run, done)
+		parts[b], complete = runMCBlock(cfg, trials, b, src, oracle, done)
 		return complete
 	})
 	var total Aggregate
@@ -170,20 +168,19 @@ func (nopSink) State() ([]byte, error)           { return nil, nil }
 func (nopSink) Restore([]byte) error             { return nil }
 
 // runMCBlock simulates the trials of block b ([b*mcBlockSize, ...)) on
-// src and returns the block aggregate. cfg is received by value, so the
+// src, under the clairvoyant RunOracle when oracle is set, and returns
+// the block aggregate. cfg must be valid: the strategy-driven trials run
+// on runReservation with the task cap resolved once per block, as a
+// campaign's reservations do. cfg is received by value, so the
 // per-trial index stamp for deterministic trace sampling never races
 // other workers. complete is false when done fired mid-block — the
 // partial tallies are still returned, but such a block must never be
 // committed as durable state; only a completed block ticks the
 // observer's block counter.
-func runMCBlock(cfg Config, trials, b int, src *rng.Source,
-	run func(Config, *rng.Source) RunResult, done <-chan struct{}) (agg Aggregate, complete bool) {
-
+func runMCBlock(cfg Config, trials, b int, src *rng.Source, oracle bool, done <-chan struct{}) (agg Aggregate, complete bool) {
 	lo := b * mcBlockSize
-	hi := lo + mcBlockSize
-	if hi > trials {
-		hi = trials
-	}
+	hi := min(lo+mcBlockSize, trials)
+	taskCap := cfg.maxTasks()
 	tracing := cfg.Obs != nil && cfg.Obs.Trace != nil
 	for i := lo; i < hi; i++ {
 		if done != nil {
@@ -196,7 +193,12 @@ func runMCBlock(cfg Config, trials, b int, src *rng.Source,
 		if tracing {
 			cfg.trial = int64(i)
 		}
-		rr := run(cfg, src)
+		var rr RunResult
+		if oracle {
+			rr = RunOracle(cfg, src)
+		} else {
+			rr = runReservation(&cfg, src, taskCap, false)
+		}
 		agg.add(rr)
 		cfg.Obs.tickProgress(1)
 		cfg.Obs.tickProgressWork(1, rr.Saved)

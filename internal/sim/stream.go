@@ -28,42 +28,24 @@ type campaignStreamPartial struct {
 	sketch           stats.QSketch // per-trial utilization
 }
 
-// runCampaignStreamBlock simulates the full block b on src. Unlike
-// runCampaignBlock there is no trial-count clamp: streamed blocks are
-// always complete, the stream's end is the stopping rule's business.
+// runCampaignStreamBlock simulates the full block b on src and folds
+// its running sums, summaries and sketch. There is no trial-count clamp:
+// streamed blocks are always complete, the stream's end is the stopping
+// rule's business.
 func runCampaignStreamBlock(cfg CampaignConfig, b int, src *rng.Source, done <-chan struct{}) (p campaignStreamPartial, complete bool) {
-	lo := b * campaignBlockSize
-	hi := lo + campaignBlockSize
-	ob := cfg.Reservation.Obs
-	tracing := ob != nil && ob.Trace != nil
-	for i := lo; i < hi; i++ {
-		if tracing {
-			cfg.Reservation.trial = int64(i)
-		}
-		r, interrupted := runCampaign(&cfg, src, done)
-		if interrupted {
-			return p, false
-		}
-		ob.tickCampaign()
-		ob.tickProgress(1)
-		ob.tickProgressWork(int64(r.Reservations), r.Committed)
+	var rs [campaignBlockSize]CampaignResult
+	if runCampaignTrials(cfg, b*campaignBlockSize, rs[:], src, done) < campaignBlockSize {
+		return p, false
+	}
+	for i := range rs {
+		r := &rs[i]
 		u := r.Utilization()
-		p.sums.res += float64(r.Reservations)
-		p.sums.util += u
-		p.sums.lost += r.LostWork
-		p.sums.ckptFaults += float64(r.CkptFaults)
-		p.sums.crashes += float64(r.Crashes)
-		p.sums.revoked += float64(r.RevokedRes)
-		if r.Completed {
-			p.sums.completed++
-		}
-		p.sums.trials++
+		p.sums.addTrial(r)
 		p.util.Add(u)
 		p.lost.Add(r.LostWork)
 		p.rsum.Add(float64(r.Reservations))
 		p.sketch.Add(u)
 	}
-	ob.tickBlock()
 	return p, true
 }
 
@@ -159,7 +141,7 @@ func NewCampaignStream(cfg CampaignConfig, stop stats.StopSpec, target string) (
 
 // Source returns the lazy block source: job b runs the full block b on
 // substream b. The source is unbounded — bound it with the engine's
-// MaxJobs (StreamBlocks converts a trial budget).
+// MaxJobs (NumCampaignBlocks converts a trial budget).
 func (cs *CampaignStream) Source() engine.JobSource {
 	next := 0
 	cfg := cs.cfg
@@ -178,16 +160,6 @@ func (cs *CampaignStream) Source() engine.JobSource {
 			},
 		}, true
 	})
-}
-
-// StreamBlocks converts a trial budget into the job cap for
-// engine.StreamSpec.MaxJobs, rounding up to whole blocks (streamed
-// blocks are all-or-nothing).
-func StreamBlocks(trials int) int {
-	if trials <= 0 {
-		return 0
-	}
-	return (trials + campaignBlockSize - 1) / campaignBlockSize
 }
 
 // StreamBlockTrials is the number of trials in one streamed block —

@@ -249,8 +249,8 @@ func TestStreamBlocks(t *testing.T) {
 		{10 * StreamBlockTrials, 10},
 	}
 	for _, tc := range cases {
-		if got := StreamBlocks(tc.trials); got != tc.want {
-			t.Errorf("StreamBlocks(%d) = %d, want %d", tc.trials, got, tc.want)
+		if got := NumCampaignBlocks(tc.trials); got != tc.want {
+			t.Errorf("NumCampaignBlocks(%d) = %d, want %d", tc.trials, got, tc.want)
 		}
 	}
 }

@@ -11,11 +11,11 @@ import (
 	"reskit/internal/rng"
 )
 
-// Campaign job grids, shared by cmd/simulate (-campaign, -faultsweep,
-// the campaign -benchjson) and both cmd/distrun roles: every side must
-// derive the identical per-row configurations, job layout and names
-// from the same flags, or their payloads (and snapshots) would silently
-// diverge.
+// Campaign job grids, shared by cmd/simulate (-campaign, -faultsweep)
+// and both cmd/distrun roles through cmd/internal/campaign: every side
+// must derive the identical per-row configurations, job layout and
+// names from the same flags, or their payloads (and snapshots) would
+// silently diverge.
 
 // ParseFaultSweep parses a comma-separated MTBF grid such as "25,50,100".
 func ParseFaultSweep(sweep string) ([]float64, error) {

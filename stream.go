@@ -79,7 +79,7 @@ func StreamTargets() []string { return append([]string(nil), sim.StreamTargets..
 
 // StreamBlocks converts a trial budget into the streamed-block cap for
 // EngineStreamSpec.MaxJobs, rounding up to whole blocks.
-func StreamBlocks(trials int) int { return sim.StreamBlocks(trials) }
+func StreamBlocks(trials int) int { return sim.NumCampaignBlocks(trials) }
 
 // StreamBlockTrials is the number of trials in one streamed campaign
 // block.
