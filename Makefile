@@ -19,8 +19,9 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzzing pass over the untrusted-input surfaces (trace
-# logs, law construction, checkpoint snapshots, and the run engine's
-# resume path); run with a longer FUZZTIME to dig deeper (the nightly
+# logs, law construction, checkpoint snapshots, the run engine's resume
+# path, stopping rules, advisor queries and the distrun coordinator's
+# requests); run with a longer FUZZTIME to dig deeper (the nightly
 # workflow uses 10m per target).
 FUZZTIME ?= 10s
 fuzz:
@@ -29,7 +30,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTryEmpirical -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/ckpt/
 	$(GO) test -run='^$$' -fuzz=FuzzResumeSnapshot -fuzztime=$(FUZZTIME) ./internal/engine/
-	$(GO) test -run='^$$' -fuzz=FuzzParseFailure -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=$(FUZZTIME) ./internal/distrun/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStop -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/advisor/
 

@@ -397,10 +397,18 @@ func BenchmarkFailureRegimes(b *testing.B) {
 	const mtbf = 25.0
 	dyn := reskit.NewDynamic(100, task, ckpt)
 	mk := func(s reskit.Strategy, failRate float64) reskit.SimConfig {
-		return reskit.SimConfig{
+		cfg := reskit.SimConfig{
 			R: 100, Task: task, Ckpt: ckpt, Strategy: s,
-			After: reskit.ContinueExecution, Recovery: 0.5, FailureRate: failRate,
+			After: reskit.ContinueExecution, Recovery: 0.5,
 		}
+		if failRate > 0 {
+			crash, err := reskit.CrashExponential(failRate)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Faults = &reskit.FaultPlan{Crash: crash}
+		}
+		return cfg
 	}
 	const trials = 6000
 	var failYD, failDyn, okYD, okDyn float64

@@ -33,8 +33,8 @@ import (
 	"os"
 	"time"
 
-	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/atomicio"
 	"reskit/internal/distrun"
 	"reskit/internal/engine"
 	"reskit/internal/httpd"
@@ -163,7 +163,7 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 	defer srv.Shutdown(2 * time.Second)
 	fmt.Fprintf(out, "distrun: coordinating %d jobs (%d trials) on %s\n", numJobs, grid.Trials, srv.Addr())
 	if opts.addrFile != "" {
-		if werr := reskit.WriteFileAtomic(opts.addrFile, []byte(srv.Addr().String()+"\n"), 0o644); werr != nil {
+		if werr := atomicio.WriteFile(opts.addrFile, []byte(srv.Addr().String()+"\n"), 0o644); werr != nil {
 			return werr
 		}
 	}

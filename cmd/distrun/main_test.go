@@ -21,6 +21,7 @@ import (
 	"reskit/internal/engine"
 	"reskit/internal/httpd"
 	"reskit/internal/sim"
+	"reskit/internal/stats"
 )
 
 // campaignArgs is the shared flag set of the end-to-end test run —
@@ -245,7 +246,7 @@ func TestDistrunFlagValidation(t *testing.T) {
 // its own copy of the parts: if this breaks, existing snapshots stop
 // resuming and old workers stop matching their coordinator.
 func TestDistrunFingerprintMatchesSimulate(t *testing.T) {
-	stop, err := reskit.ParseStopSpec("rel=0.01")
+	stop, err := stats.ParseStop("rel=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,21 +16,15 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"reskit/internal/atomicio"
 	"reskit/internal/engine"
 	"reskit/internal/figures"
-	"reskit/internal/obs"
-	"reskit/internal/quad"
-	"reskit/internal/rng"
 )
 
 func main() {
@@ -50,7 +44,7 @@ func main() {
 	}
 
 	failures, err := generateWith(context.Background(), *outDir, wanted, *ascii, *extended, os.Stdout,
-		genOpts{progress: *progress, metricsPath: *metrics})
+		figures.RunOptions{Progress: *progress, MetricsPath: *metrics})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
@@ -61,33 +55,19 @@ func main() {
 	}
 }
 
-// genOpts carries the observability flags into the generator.
-type genOpts struct {
-	progress    bool
-	metricsPath string
-}
-
 // generate renders the selected figures into outDir, printing the
 // paper-vs-measured report to out, and returns the number of figures
 // that failed to reproduce.
 func generate(outDir string, wanted map[string]bool, ascii, extended bool, out io.Writer) (failures int, err error) {
-	return generateWith(context.Background(), outDir, wanted, ascii, extended, out, genOpts{})
+	return generateWith(context.Background(), outDir, wanted, ascii, extended, out, figures.RunOptions{})
 }
 
-// figPayload is one figure job's result: the per-figure report block
-// (ASCII chart, value table, verdict) and whether the figure failed.
-type figPayload struct {
-	Output string `json:"output"`
-	Failed bool   `json:"failed"`
-}
-
-// generateWith runs one engine job per selected figure. Each job builds
-// its figure, renders SVG and CSV into artifacts (written atomically by
-// the engine), and returns the report block as its payload; the blocks
-// print in figure order afterwards, so the report reads identically for
-// any worker count.
+// generateWith renders each selected figure as one engine job: the job
+// builds its figure, renders SVG and CSV into artifacts (written
+// atomically by the engine), and returns the report block, which
+// prints in figure order afterwards.
 func generateWith(ctx context.Context, outDir string, wanted map[string]bool, ascii, extended bool,
-	out io.Writer, o genOpts) (failures int, err error) {
+	out io.Writer, o figures.RunOptions) (failures int, err error) {
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return 0, err
@@ -104,93 +84,46 @@ func generateWith(ctx context.Context, outDir string, wanted map[string]bool, as
 		sel = append(sel, g)
 	}
 
-	var reg *obs.Registry
-	if o.metricsPath != "" {
-		reg = obs.NewRegistry()
-		quad.ObserveEvals(reg.Counter("quad.evals"))
-	}
-	var prog *obs.Progress
-	if o.progress {
-		prog = obs.NewProgress(os.Stderr, "figures", int64(len(sel)), time.Second)
-		prog.Start(ctx)
-		defer prog.Stop()
-	}
-
-	jobs := make([]engine.Job, len(sel))
-	for i := range sel {
-		g := sel[i]
-		jobs[i] = engine.Job{
-			Name:   g.ID,
-			Stream: uint64(i),
-			Run: func(ctx context.Context, _ *rng.Source) (engine.JobResult, error) {
-				fig := g.Make()
-				var svg, csv, report bytes.Buffer
-				if err := fig.Plot.SVG(&svg, 720, 440); err != nil {
-					return engine.JobResult{}, err
-				}
-				if err := fig.Plot.CSV(&csv); err != nil {
-					return engine.JobResult{}, err
-				}
-				if ascii {
-					if err := fig.Plot.ASCII(&report, 76, 18); err != nil {
-						return engine.JobResult{}, err
-					}
-				}
-				fmt.Fprintf(&report, "%s  %s\n", fig.ID, fig.Title)
-				for _, k := range fig.Keys() {
-					fmt.Fprintf(&report, "    %-14s paper %-10.6g measured %-10.6g\n", k, fig.Reference[k], fig.Measured[k])
-				}
-				failed := false
-				if bad := fig.Check(); len(bad) > 0 {
-					for _, m := range bad {
-						fmt.Fprintf(&report, "    MISMATCH: %s\n", m)
-					}
-					failed = true
-				} else {
-					fmt.Fprintf(&report, "    OK: reproduces within tolerance\n")
-				}
-				payload, err := json.Marshal(figPayload{Output: report.String(), Failed: failed})
-				if err != nil {
-					return engine.JobResult{}, err
-				}
-				return engine.JobResult{
-					Payload: payload,
-					Artifacts: []engine.Artifact{
-						{Path: filepath.Join(outDir, fig.ID+".svg"), Data: svg.Bytes()},
-						{Path: filepath.Join(outDir, fig.ID+".csv"), Data: csv.Bytes()},
-					},
-				}, nil
+	render := func(fig *figures.Figure) (figures.Rendered, error) {
+		var svg, csv, report bytes.Buffer
+		if err := fig.Plot.SVG(&svg, 720, 440); err != nil {
+			return figures.Rendered{}, err
+		}
+		if err := fig.Plot.CSV(&csv); err != nil {
+			return figures.Rendered{}, err
+		}
+		if ascii {
+			if err := fig.Plot.ASCII(&report, 76, 18); err != nil {
+				return figures.Rendered{}, err
+			}
+		}
+		fmt.Fprintf(&report, "%s  %s\n", fig.ID, fig.Title)
+		for _, k := range fig.Keys() {
+			fmt.Fprintf(&report, "    %-14s paper %-10.6g measured %-10.6g\n", k, fig.Reference[k], fig.Measured[k])
+		}
+		bad := fig.Check()
+		for _, m := range bad {
+			fmt.Fprintf(&report, "    MISMATCH: %s\n", m)
+		}
+		if len(bad) == 0 {
+			fmt.Fprintf(&report, "    OK: reproduces within tolerance\n")
+		}
+		return figures.Rendered{
+			Text:   report.String(),
+			Failed: len(bad) > 0,
+			Artifacts: []engine.Artifact{
+				{Path: filepath.Join(outDir, fig.ID+".svg"), Data: svg.Bytes()},
+				{Path: filepath.Join(outDir, fig.ID+".csv"), Data: csv.Bytes()},
 			},
-		}
+		}, nil
 	}
-
-	res, err := engine.Run(ctx, engine.Spec{Jobs: jobs, Log: out, Reg: reg, Progress: prog})
-	if err != nil {
-		return 0, err
+	emit := func(texts []string) error {
+		for _, text := range texts {
+			if _, err := io.WriteString(out, text); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	for _, data := range res.Payloads {
-		if data == nil {
-			continue
-		}
-		var fp figPayload
-		if err := json.Unmarshal(data, &fp); err != nil {
-			return failures, err
-		}
-		if _, err := io.WriteString(out, fp.Output); err != nil {
-			return failures, err
-		}
-		if fp.Failed {
-			failures++
-		}
-	}
-	if o.metricsPath != "" {
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			return failures, err
-		}
-		if err := atomicio.WriteFile(o.metricsPath, buf.Bytes(), 0o644); err != nil {
-			return failures, fmt.Errorf("-metrics: %w", err)
-		}
-	}
-	return failures, nil
+	return figures.Run(ctx, sel, o, render, emit)
 }

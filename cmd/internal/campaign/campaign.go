@@ -15,6 +15,7 @@ import (
 	"reskit"
 	"reskit/internal/lawspec"
 	"reskit/internal/sim"
+	"reskit/internal/stats"
 )
 
 // Flags holds the campaign flags. Register binds all but CkptFail, the
@@ -167,7 +168,7 @@ func (f *Flags) Fingerprint(plan *reskit.FaultPlan) uint64 {
 // the stop rule and its target, which decide where the run ends, but not
 // the trial budget: resuming under another budget is as legal as
 // resuming under another worker count.
-func (f *Flags) StreamFingerprint(plan *reskit.FaultPlan, stop reskit.StopSpec, target string) uint64 {
+func (f *Flags) StreamFingerprint(plan *reskit.FaultPlan, stop stats.StopSpec, target string) uint64 {
 	return f.fingerprint("campaign stream target="+target+" stop="+stop.String(), plan)
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/atomicio"
 	"reskit/internal/lawspec"
 )
 
@@ -105,7 +106,7 @@ func run(args []string, out io.Writer) error {
 		var buf bytes.Buffer
 		merr := cfg.Reg.WriteJSON(&buf)
 		if merr == nil {
-			merr = reskit.WriteFileAtomic(*metricsPath, buf.Bytes(), 0o644)
+			merr = atomicio.WriteFile(*metricsPath, buf.Bytes(), 0o644)
 		}
 		if merr != nil && err == nil {
 			err = fmt.Errorf("-metrics: %w", merr)

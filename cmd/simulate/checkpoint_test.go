@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -78,7 +79,7 @@ func TestCampaignCheckpointTimeoutResume(t *testing.T) {
 	if !strings.Contains(interrupted.String(), "rerun with -resume") {
 		t.Skipf("campaign finished before the 300ms timeout; nothing to resume (output %q)", interrupted.String())
 	}
-	if _, err := reskit.LoadRunState(path); err != nil {
+	if _, err := ckpt.Load(path); err != nil {
 		t.Fatalf("snapshot after timeout is unusable: %v", err)
 	}
 
@@ -149,6 +150,34 @@ func TestResumeMismatchedConfigStartsFresh(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "starting fresh") {
 		t.Errorf("mismatched snapshot should trigger a fresh run, got %q", out.String())
+	}
+}
+
+// TestWorkflowFingerprintPinned pins the workflow fingerprint, with and
+// without a crash process, to the value it had while -failrate was still
+// a flag: if this breaks, existing workflow snapshots stop resuming.
+func TestWorkflowFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		extra []string
+		want  uint64
+	}{
+		{nil, 0xc8c7a6a54085b73c},
+		{[]string{"-mtbf", "25"}, 0x1818c51f2b63b10e},
+	} {
+		fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
+		var cf campaign.Flags
+		cf.Register(fs)
+		args := append([]string{"-R", "29", "-task", "gamma:1,1", "-ckpt", "norm:2,0.3@[0,inf]", "-trials", "2000"}, tc.extra...)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		_, plan, err := cf.Parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := workflowFingerprint(&cf, "oracle,dynamic,static,threshold,pessimistic", plan); got != tc.want {
+			t.Errorf("%v: workflow fingerprint = %016x, want %016x", tc.extra, got, tc.want)
+		}
 	}
 }
 
@@ -272,7 +301,7 @@ func TestSigintLeavesResumableSnapshot(t *testing.T) {
 		t.Errorf("interrupted run should point at -resume, got %q", out.String())
 	}
 
-	st, err := reskit.LoadRunState(path)
+	st, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("snapshot left by SIGINT is unusable: %v", err)
 	}

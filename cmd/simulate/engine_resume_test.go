@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/ckpt"
 )
 
 // stableLines strips the resume/interrupted/checkpoint status lines, so
@@ -131,7 +131,7 @@ func TestFaultsweepSigintResume(t *testing.T) {
 	if !strings.Contains(out.String(), "rerun with -resume") {
 		t.Errorf("interrupted sweep should point at -resume, got %q", out.String())
 	}
-	st, err := reskit.LoadRunState(path)
+	st, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("snapshot left by SIGINT is unusable: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestWorkflowSigintResume(t *testing.T) {
 	if code != campaign.ExitInterrupted {
 		t.Fatalf("exit code = %d, want %d (output %q)", code, campaign.ExitInterrupted, out.String())
 	}
-	st, err := reskit.LoadRunState(path)
+	st, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("snapshot left by SIGINT is unusable: %v", err)
 	}

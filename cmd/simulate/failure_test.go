@@ -15,41 +15,32 @@ func failureArgs(extra ...string) []string {
 }
 
 func TestFailurePolicyFlagValidation(t *testing.T) {
-	var out bytes.Buffer
-	err := run(failureArgs("-failure-policy", "retries=2", "-retries", "3"), &out)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
-	}
-	err = run(failureArgs("-failure-policy", "turbo=1"), &out)
-	if err == nil || !strings.Contains(err.Error(), "turbo") {
-		t.Fatalf("err = %v, want unknown-key parse error", err)
-	}
-	err = run(failureArgs("-retries", "-1"), &out)
-	if err == nil {
-		t.Fatal("negative -retries must be rejected")
+	for _, bad := range [][]string{
+		{"-retries", "-1"},
+		{"-retry-backoff", "-1ms"},
+		{"-job-timeout", "-1s"},
+		{"-retries", "1", "-retry-backoff", "-1ms"},
+	} {
+		var out bytes.Buffer
+		if err := run(failureArgs(bad...), &out); err == nil {
+			t.Errorf("%v must be rejected", bad)
+		}
 	}
 }
 
 // An active failure policy must not perturb a fault-free run: the
-// aggregates are bit-identical with and without it, whichever way the
-// policy is spelled.
+// aggregates are bit-identical with and without it.
 func TestFailurePolicyIsInertOnCleanRuns(t *testing.T) {
-	var plain, withFlags, withSpec bytes.Buffer
+	var plain, withFlags bytes.Buffer
 	if err := run(failureArgs(), &plain); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(failureArgs("-retries", "3", "-retry-backoff", "1ms", "-job-timeout", "1m", "-keep-going"), &withFlags); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(failureArgs("-failure-policy", "retries=3,backoff=1ms,timeout=1m,keep-going"), &withSpec); err != nil {
-		t.Fatal(err)
-	}
 	want := campaignResultLines(plain.String())
 	if got := campaignResultLines(withFlags.String()); got != want {
-		t.Errorf("individual flags changed the aggregates:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	if got := campaignResultLines(withSpec.String()); got != want {
-		t.Errorf("-failure-policy changed the aggregates:\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("the failure flags changed the aggregates:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -48,6 +48,9 @@ import (
 
 	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/engine"
+	"reskit/internal/sim"
+	"reskit/internal/stats"
 )
 
 func main() { campaign.Exit("simulate", run(os.Args[1:], os.Stdout)) }
@@ -64,7 +67,6 @@ func run(args []string, out io.Writer) (err error) {
 	preempt := fs.Bool("preempt", false, "validate the preemptible scenario instead")
 	campaignMode := fs.Bool("campaign", false, "run a multi-reservation campaign Monte-Carlo instead")
 	workers := fs.Int("workers", 0, "parallel workers (0 = all CPUs)")
-	failRate := fs.Float64("failrate", 0, "fail-stop error rate inside the reservation (0 = failure-free)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; the Monte-Carlo stops cleanly at the deadline and reports the trials completed")
 	untilCI := fs.String("until-ci", "", "with -campaign: stream trial blocks until this stopping rule fires, e.g. 'rel=0.005,conf=0.99,min=5000,qtol=0.02' (a bare number means rel=); replaces -trials")
 	stopTarget := fs.String("target", "util", "with -until-ci: the metric the stopping rule watches (util, lost, res)")
@@ -76,14 +78,13 @@ func run(args []string, out io.Writer) (err error) {
 	retryBackoff := fs.Duration("retry-backoff", 0, "base of the deterministic exponential retry backoff (default 100ms when -retries > 0)")
 	jobTimeout := fs.Duration("job-timeout", 0, "deadline per job attempt; a timed-out attempt is retryable under the -retries budget")
 	keepGoing := fs.Bool("keep-going", false, "record permanently failed jobs and keep running the rest; exits with code 4 and leaves failed jobs resumable")
-	failurePolicy := fs.String("failure-policy", "", "compact failure policy, e.g. 'retries=3,backoff=50ms,timeout=1m,keep-going' (mutually exclusive with the individual failure flags)")
 	strategies := fs.String("strategies", "oracle,dynamic,static,threshold,pessimistic",
 		"comma-separated strategies to compare")
 	hist := fs.Bool("hist", false, "print an ASCII histogram of saved work for each strategy")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	progress := fs.Bool("progress", false, "print live trials/sec progress to stderr")
-	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot (counters, histograms) to this file on exit")
+	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot (counters, gauges, quantile sketches) to this file on exit")
 	listenAddr := fs.String("listen", "", "serve live expvar metrics and pprof on this address (e.g. :6060)")
 	tracePath := fs.String("trace", "", "stream sampled per-trial events (task ends, checkpoints, faults) to this JSONL file")
 	traceEvery := fs.Int64("tracesample", 1000, "with -trace: record one trial in every N (<=1 traces all; sampling is by trial index, deterministic)")
@@ -97,19 +98,11 @@ func run(args []string, out io.Writer) (err error) {
 	if *resume && *checkpointPath == "" {
 		return errors.New("-resume requires -checkpoint")
 	}
-	failure := reskit.EngineFailure{
+	failure := engine.Failure{
 		Retries:    *retries,
 		Backoff:    *retryBackoff,
 		JobTimeout: *jobTimeout,
 		KeepGoing:  *keepGoing,
-	}
-	if *failurePolicy != "" {
-		if failure != (reskit.EngineFailure{}) {
-			return errors.New("-failure-policy is mutually exclusive with -retries/-retry-backoff/-job-timeout/-keep-going")
-		}
-		if failure, err = reskit.ParseEngineFailure(*failurePolicy); err != nil {
-			return err
-		}
 	}
 	// SIGINT/SIGTERM cancel the context: workers drain at the next block
 	// boundary, partial aggregates are reported exactly, and (with
@@ -149,21 +142,14 @@ func run(args []string, out io.Writer) (err error) {
 		// A budget bounds the stream (rounded up to whole blocks); without
 		// one the total is unknown and progress renders counts and rate
 		// with the live CI half-width instead of an ETA.
-		progressTotal = int64(reskit.StreamBlocks(*budget)) * reskit.StreamBlockTrials
+		progressTotal = int64(sim.NumCampaignBlocks(*budget)) * sim.StreamBlockTrials
 	case *campaignMode:
 		progressTotal = int64(cf.Trials)
 		if cf.FaultSweep != "" {
 			progressTotal *= int64(len(strings.Split(cf.FaultSweep, ",")))
 		}
 	}
-	// The saved-work distribution always feeds the "sim.saved_work"
-	// quantile sketch; the legacy fixed-layout [0, R) histogram is bound
-	// only while -hist keeps it alive.
-	savedMax := 0.0
-	if *hist {
-		savedMax = cf.R
-	}
-	ob, err := setupObs(out, *progress, *metricsPath, *listenAddr, *tracePath, *traceEvery, savedMax, progressTotal)
+	ob, err := setupObs(out, *progress, *metricsPath, *listenAddr, *tracePath, *traceEvery, progressTotal)
 	if err != nil {
 		return err
 	}
@@ -184,7 +170,7 @@ func run(args []string, out io.Writer) (err error) {
 		if failure.KeepGoing {
 			return errors.New("-keep-going is incompatible with streaming (-until-ci/-budget): a permanently failed block would stall the commit frontier")
 		}
-		stop, err := reskit.ParseStopSpec(*untilCI)
+		stop, err := stats.ParseStop(*untilCI)
 		if err != nil {
 			return fmt.Errorf("-until-ci: %w", err)
 		}
@@ -211,18 +197,6 @@ func run(args []string, out io.Writer) (err error) {
 		)
 		return runPreempt(ctx, out, cf.R, ckpt, cf.Trials, cf.Seed, *workers, ck, ob)
 	}
-	ck.fingerprint = reskit.ConfigFingerprint(
-		"workflow",
-		fmt.Sprintf("R=%g", cf.R),
-		fmt.Sprintf("recovery=%g", cf.Recovery),
-		fmt.Sprintf("failrate=%g", *failRate),
-		"task="+cf.Task,
-		"taskdisc="+cf.TaskDisc,
-		"ckpt="+cf.Ckpt,
-		"strategies="+*strategies,
-		fmt.Sprintf("faults=%v", plan),
-		fmt.Sprintf("trials=%d", cf.Trials),
-		fmt.Sprintf("seed=%d", cf.Seed),
-	)
-	return runWorkflow(ctx, out, cf.R, cf.Recovery, *failRate, cf.Task, cf.TaskDisc, ckpt, cf.Trials, cf.Seed, *workers, *strategies, *hist, plan, ck, ob)
+	ck.fingerprint = workflowFingerprint(&cf, *strategies, plan)
+	return runWorkflow(ctx, out, cf.R, cf.Recovery, cf.Task, cf.TaskDisc, ckpt, cf.Trials, cf.Seed, *workers, *strategies, *hist, plan, ck, ob)
 }

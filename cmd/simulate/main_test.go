@@ -75,7 +75,7 @@ func TestWorkflowWithFailures(t *testing.T) {
 	var buf strings.Builder
 	err := run([]string{
 		"-R", "100", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:2,0.3@[0,inf]",
-		"-trials", "2000", "-failrate", "0.04",
+		"-trials", "2000", "-mtbf", "25",
 		"-strategies", "dynamic,youngdaly",
 	}, &buf)
 	if err != nil {
@@ -95,8 +95,8 @@ func TestYoungDalyRequiresFailrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "needs -failrate") {
-		t.Errorf("missing failrate hint:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "needs exponential crashes") {
+		t.Errorf("missing crash-rate hint:\n%s", buf.String())
 	}
 }
 

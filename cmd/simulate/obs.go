@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"reskit"
+	"reskit/internal/atomicio"
 	"reskit/internal/httpd"
 )
 
@@ -50,7 +51,7 @@ type simObs struct {
 // workflow mode runs one Monte-Carlo per strategy, so no single total
 // exists).
 func setupObs(out io.Writer, progress bool, metricsPath, listenAddr, tracePath string,
-	traceEvery int64, savedMax float64, progressTotal int64) (*simObs, error) {
+	traceEvery int64, progressTotal int64) (*simObs, error) {
 
 	if !progress && metricsPath == "" && listenAddr == "" && tracePath == "" {
 		return nil, nil
@@ -59,7 +60,7 @@ func setupObs(out io.Writer, progress bool, metricsPath, listenAddr, tracePath s
 		reg:         reskit.NewObsRegistry(),
 		metricsPath: metricsPath,
 	}
-	o.observer = reskit.NewSimObserver(o.reg, savedMax)
+	o.observer = reskit.NewSimObserver(o.reg)
 	reskit.ObserveQuadrature(o.reg)
 	reskit.ObserveOptimize(o.reg)
 
@@ -67,7 +68,7 @@ func setupObs(out io.Writer, progress bool, metricsPath, listenAddr, tracePath s
 		// The sink streams into an atomic temp file; its Close (in finish)
 		// commits the rename, so a crash mid-run never leaves a truncated
 		// trace at the destination path.
-		f, err := reskit.CreateFileAtomic(tracePath)
+		f, err := atomicio.Create(tracePath)
 		if err != nil {
 			return nil, fmt.Errorf("-trace: %w", err)
 		}
@@ -190,7 +191,7 @@ func (o *simObs) finish() error {
 		var buf bytes.Buffer
 		err := o.reg.WriteJSON(&buf)
 		if err == nil {
-			err = reskit.WriteFileAtomic(o.metricsPath, buf.Bytes(), 0o644)
+			err = atomicio.WriteFile(o.metricsPath, buf.Bytes(), 0o644)
 		}
 		if err != nil && first == nil {
 			first = fmt.Errorf("-metrics: %w", err)

@@ -109,15 +109,13 @@ func TestMetricsSnapshotFile(t *testing.T) {
 	if !(q.Min >= 0 && q.P50 >= q.Min && q.P90 >= q.P50 && q.P99 >= q.P90 && q.Max >= q.P99 && q.Max <= 29) {
 		t.Errorf("sim.saved_work quantiles out of order or range: %+v", q)
 	}
-	// The fixed-layout histogram is legacy and only bound behind -hist.
-	if h, ok := snap.Hists["sim.saved_work"]; ok {
-		t.Errorf("sim.saved_work histogram bound without -hist: %+v", h)
-	}
 }
 
-// TestMetricsHistFlagKeepsLegacyHistogram checks the deprecated fixed
-// [0, R) histogram of saved work is still bound while -hist is given.
-func TestMetricsHistFlagKeepsLegacyHistogram(t *testing.T) {
+// TestMetricsHistFlagFeedsTheSketch checks that -hist adds no second
+// saved-work instrument: the reservations it re-simulates for the ASCII
+// chart feed the "sim.saved_work" quantile sketch, and the snapshot holds
+// no histogram.
+func TestMetricsHistFlagFeedsTheSketch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var buf bytes.Buffer
 	err := run([]string{
@@ -132,17 +130,17 @@ func TestMetricsHistFlagKeepsLegacyHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bytes.Contains(data, []byte("histogram")) {
+		t.Errorf("metrics snapshot still carries a histogram:\n%s", data)
+	}
 	var snap reskit.ObsSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("metrics file is not valid JSON: %v", err)
 	}
 	// 400 Monte-Carlo trials plus the 400 reservations printHistogram
 	// re-simulates for the ASCII chart, all with the observer attached.
-	if h, ok := snap.Hists["sim.saved_work"]; !ok || h.Count != 800 {
-		t.Errorf("sim.saved_work histogram = %+v, want 800 samples under -hist", h)
-	}
 	if q, ok := snap.Quantiles["sim.saved_work"]; !ok || q.Count != 800 {
-		t.Errorf("sim.saved_work quantile sketch = %+v, want 800 samples alongside -hist", q)
+		t.Errorf("sim.saved_work quantile sketch = %+v, want 800 samples under -hist", q)
 	}
 }
 
@@ -292,7 +290,7 @@ func TestTraceJSONL(t *testing.T) {
 // port and fetches /debug/vars and a pprof page through it.
 func TestListenServesDebugVars(t *testing.T) {
 	var buf bytes.Buffer
-	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 29, 0)
+	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,7 @@ func TestProgressFlagRuns(t *testing.T) {
 // type, and at least one TYPE-announced reskit_-prefixed sample.
 func TestListenServesPromMetrics(t *testing.T) {
 	var buf bytes.Buffer
-	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 29, 0)
+	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +395,7 @@ func TestListenServesPromMetrics(t *testing.T) {
 // must come from internal/httpd, whose servers bound header reads.
 func TestListenServerIsHardened(t *testing.T) {
 	var buf bytes.Buffer
-	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 29, 0)
+	ob, err := setupObs(&buf, false, "", "127.0.0.1:0", "", 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

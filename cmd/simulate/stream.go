@@ -10,10 +10,13 @@ import (
 
 	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/engine"
+	"reskit/internal/sim"
+	"reskit/internal/stats"
 )
 
 // streamStopReason names why a streaming run ended, for the summary row.
-func streamStopReason(ctx context.Context, sres *reskit.EngineStreamResult) string {
+func streamStopReason(ctx context.Context, sres *engine.StreamResult) string {
 	switch {
 	case sres.Stopped:
 		return "ci target met"
@@ -34,38 +37,38 @@ func streamStopReason(ctx context.Context, sres *reskit.EngineStreamResult) stri
 // bit-identical for any worker count, including runs killed and resumed
 // from a -checkpoint frontier snapshot.
 func runCampaignStream(ctx context.Context, out io.Writer, cf *campaign.Flags, ckpt reskit.Continuous,
-	plan *reskit.FaultPlan, stop reskit.StopSpec, target string, budget, workers int, ck ckptOpts, ob *simObs) error {
+	plan *reskit.FaultPlan, stop stats.StopSpec, target string, budget, workers int, ck ckptOpts, ob *simObs) error {
 
 	cfg, desc, err := cf.Config(ckpt, plan, ob.instrument)
 	if err != nil {
 		return err
 	}
-	cs, err := reskit.NewCampaignStream(cfg, stop, target)
+	cs, err := sim.NewCampaignStream(cfg, stop, target)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "campaign stream: R=%g, %s, total work %g\n", cf.R, desc, cf.TotalWork)
 	if stop.Active() {
-		fmt.Fprintf(out, "until: %s CI %s (blocks of %d trials)\n", cs.Target(), stop, reskit.StreamBlockTrials)
+		fmt.Fprintf(out, "until: %s CI %s (blocks of %d trials)\n", cs.Target(), stop, sim.StreamBlockTrials)
 	}
-	maxBlocks := reskit.StreamBlocks(budget)
+	maxBlocks := sim.NumCampaignBlocks(budget)
 	if budget > 0 {
-		fmt.Fprintf(out, "budget: %d trials (%d blocks)\n", maxBlocks*reskit.StreamBlockTrials, maxBlocks)
+		fmt.Fprintf(out, "budget: %d trials (%d blocks)\n", maxBlocks*sim.StreamBlockTrials, maxBlocks)
 	}
 	if plan.Active() {
 		fmt.Fprintf(out, "faults: %v\n", plan)
 	}
 	fmt.Fprintln(out)
 
-	spec := reskit.EngineStreamSpec{
+	spec := engine.StreamSpec{
 		Source:      cs.Source(),
 		Sink:        cs,
 		Seed:        cf.Seed,
 		Fingerprint: ck.fingerprint,
 		Workers:     workers,
 		MaxJobs:     maxBlocks,
-		Checkpoint:  reskit.EngineCheckpoint{Path: ck.path, Interval: ck.interval, Resume: ck.resume},
+		Checkpoint:  engine.Checkpoint{Path: ck.path, Interval: ck.interval, Resume: ck.resume},
 		Failure:     ck.failure,
 		Log:         out,
 	}
@@ -73,7 +76,7 @@ func runCampaignStream(ctx context.Context, out io.Writer, cf *campaign.Flags, c
 		spec.Reg = ob.reg
 	}
 	start := time.Now()
-	sres, runErr := reskit.RunEngineStream(ctx, spec)
+	sres, runErr := engine.RunStream(ctx, spec)
 	elapsed := time.Since(start)
 	if err := hardStreamFailure(ctx, runErr, sres); err != nil {
 		return err
@@ -95,7 +98,7 @@ func runCampaignStream(ctx context.Context, out io.Writer, cf *campaign.Flags, c
 		cs.UtilizationQuantile(0.5), cs.UtilizationQuantile(0.9), cs.UtilizationQuantile(0.99))
 	fmt.Fprintf(tw, "completion rate\t%.4g\n", agg.CompletionRate)
 	fmt.Fprintf(tw, "wall time\t%v (%.0f trials/s)\n",
-		elapsed.Round(time.Millisecond), float64(sres.Fresh()*reskit.StreamBlockTrials)/elapsed.Seconds())
+		elapsed.Round(time.Millisecond), float64(sres.Fresh()*sim.StreamBlockTrials)/elapsed.Seconds())
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -107,11 +110,11 @@ func runCampaignStream(ctx context.Context, out io.Writer, cf *campaign.Flags, c
 // that reached a natural end (stop rule fired, budget exhausted) but
 // could not persist its final snapshot — the results printed are
 // complete. Everything else aborts before numbers print.
-func hardStreamFailure(ctx context.Context, runErr error, sres *reskit.EngineStreamResult) error {
+func hardStreamFailure(ctx context.Context, runErr error, sres *engine.StreamResult) error {
 	if runErr == nil || ctx.Err() != nil {
 		return nil
 	}
-	var serr *reskit.EngineSnapshotError
+	var serr *engine.SnapshotError
 	if errors.As(runErr, &serr) && (sres.Stopped || sres.Exhausted) {
 		return nil
 	}

@@ -10,8 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/ckpt"
+	"reskit/internal/sim"
 )
 
 // streamArgs is the fixed streaming campaign of the CLI tests: a
@@ -116,10 +117,10 @@ func TestStreamBudgetExhausted(t *testing.T) {
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
-	budgetTrials := reskit.StreamBlocks(100) * reskit.StreamBlockTrials
+	budgetTrials := sim.NumCampaignBlocks(100) * sim.StreamBlockTrials
 	for _, want := range []string{
-		fmt.Sprintf("budget: %d trials (%d blocks)", budgetTrials, reskit.StreamBlocks(100)),
-		fmt.Sprintf("%d (%d blocks)", budgetTrials, reskit.StreamBlocks(100)),
+		fmt.Sprintf("budget: %d trials (%d blocks)", budgetTrials, sim.NumCampaignBlocks(100)),
+		fmt.Sprintf("%d (%d blocks)", budgetTrials, sim.NumCampaignBlocks(100)),
 		"trial budget exhausted",
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -171,7 +172,7 @@ func TestStreamSoakSigintResume(t *testing.T) {
 	if !strings.Contains(out.String(), "rerun with -resume") {
 		t.Errorf("interrupted stream should point at -resume, got %q", out.String())
 	}
-	st, err := reskit.LoadRunState(path)
+	st, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("frontier snapshot left by SIGINT is unusable: %v", err)
 	}

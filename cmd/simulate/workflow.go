@@ -13,10 +13,10 @@ import (
 	"reskit/cmd/internal/campaign"
 	"reskit/internal/dist"
 	"reskit/internal/engine"
+	"reskit/internal/fault"
 	"reskit/internal/lawspec"
 	"reskit/internal/rng"
 	"reskit/internal/sim"
-	"reskit/internal/stats"
 )
 
 // stratSpec is one resolved strategy of the comparison: either a
@@ -29,6 +29,28 @@ type stratSpec struct {
 	oracle bool
 }
 
+// workflowFingerprint ties a workflow snapshot to the facets that shape
+// its payloads: the laws, the strategy list, the fault plan, the trial
+// count and the seed.
+func workflowFingerprint(cf *campaign.Flags, strategies string, plan *reskit.FaultPlan) uint64 {
+	return reskit.ConfigFingerprint(
+		"workflow",
+		fmt.Sprintf("R=%g", cf.R),
+		fmt.Sprintf("recovery=%g", cf.Recovery),
+		// The crash rate of the retired -failrate flag, always 0 now
+		// (crashes are part of the fault plan); kept so snapshots of
+		// runs without it still resume.
+		"failrate=0",
+		"task="+cf.Task,
+		"taskdisc="+cf.TaskDisc,
+		"ckpt="+cf.Ckpt,
+		"strategies="+strategies,
+		fmt.Sprintf("faults=%v", plan),
+		fmt.Sprintf("trials=%d", cf.Trials),
+		fmt.Sprintf("seed=%d", cf.Seed),
+	)
+}
+
 // runWorkflow compares checkpoint strategies on the workflow
 // reservation (the paper's Figure 8/10 setting). Every strategy's
 // Monte-Carlo runs as blocks of one shared engine grid, so the whole
@@ -37,10 +59,10 @@ type stratSpec struct {
 // strategy draws rng substream b — exactly what a standalone run of
 // that strategy would draw — so each row matches the single-strategy
 // result to the bit.
-func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float64, taskSpec, taskDiscSpec string, ckpt reskit.Continuous,
+func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSpec, taskDiscSpec string, ckpt reskit.Continuous,
 	trials int, seed uint64, workers int, strategyList string, hist bool, plan *reskit.FaultPlan, ckOpts ckptOpts, ob *simObs) error {
 
-	base := reskit.SimConfig{R: r, Recovery: recovery, Ckpt: ckpt, FailureRate: failRate, Faults: plan}
+	base := reskit.SimConfig{R: r, Recovery: recovery, Ckpt: ckpt, Faults: plan}
 	ob.attach(&base)
 	if plan.Active() {
 		fmt.Fprintf(out, "faults: %v\n", plan)
@@ -129,11 +151,17 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 		case "never":
 			s.cfg.Strategy = ob.counted(reskit.NeverStrategy())
 		case "youngdaly":
-			if failRate <= 0 {
-				s.note = "(needs -failrate > 0)"
+			// The Young/Daly period needs the MTBF of a memoryless crash
+			// process: -mtbf, or crash=exp in -faults.
+			var crash fault.ExpArrival
+			if plan != nil {
+				crash, _ = plan.Crash.(fault.ExpArrival)
+			}
+			if crash.Rate <= 0 {
+				s.note = "(needs exponential crashes: -mtbf)"
 				break
 			}
-			s.cfg.Strategy = ob.counted(reskit.YoungDalyStrategy(1/failRate, ckpt.Mean()))
+			s.cfg.Strategy = ob.counted(reskit.YoungDalyStrategy(1/crash.Rate, ckpt.Mean()))
 			s.cfg.After = reskit.ContinueExecution
 		default:
 			return fmt.Errorf("unknown strategy %q", name)
@@ -226,25 +254,32 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery, failRate float
 }
 
 // printHistogram re-runs a small sample of reservations and renders the
-// saved-work distribution as a 40-column ASCII bar chart.
+// saved-work distribution over ten equal bins of [0, rMax] as a
+// 40-column ASCII bar chart.
 func printHistogram(out io.Writer, name string, cfg reskit.SimConfig, trials int, seed uint64, rMax float64) error {
 	n := trials
 	if n > 5000 {
 		n = 5000
 	}
-	h := stats.NewHistogram(0, rMax, 10)
+	var counts [10]int64
 	src := reskit.NewRNGStream(seed, 999)
 	for i := 0; i < n; i++ {
-		h.Add(reskit.Simulate(cfg, src).Saved)
+		// Saved work lies in [0, R]; a run that saves all of R lands in
+		// the last bin.
+		b := int(float64(len(counts)) * reskit.Simulate(cfg, src).Saved / rMax)
+		if b >= len(counts) {
+			b = len(counts) - 1
+		}
+		counts[b]++
 	}
 	peak := int64(1)
-	for _, c := range h.Counts {
+	for _, c := range counts {
 		if c > peak {
 			peak = c
 		}
 	}
-	w := rMax / float64(len(h.Counts))
-	for i, c := range h.Counts {
+	w := rMax / float64(len(counts))
+	for i, c := range counts {
 		bar := strings.Repeat("#", int(40*c/peak))
 		fmt.Fprintf(out, "  [%5.1f-%5.1f)\t%s %d\n", float64(i)*w, float64(i+1)*w, bar, c)
 	}

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 
 	"reskit"
@@ -30,11 +31,15 @@ func main() {
 
 	const trials = 20000
 	for _, mtbf := range []float64{0, 400, 100, 50, 25, 12} {
-		failRate := 0.0
+		var faults *reskit.FaultPlan
 		period := "-"
 		var ydStrategy reskit.Strategy
 		if mtbf > 0 {
-			failRate = 1 / mtbf
+			crash, err := reskit.CrashExponential(1 / mtbf)
+			if err != nil {
+				log.Fatal(err)
+			}
+			faults = &reskit.FaultPlan{Crash: crash}
 			yd := reskit.YoungDalyStrategy(mtbf, ckpt.Mean())
 			ydStrategy = yd
 			period = fmt.Sprintf("%.1f s", periodOf(mtbf, ckpt.Mean()))
@@ -48,7 +53,7 @@ func main() {
 			return reskit.SimConfig{
 				R: r, Task: task, Ckpt: ckpt, Strategy: s,
 				After: reskit.ContinueExecution, Recovery: 0.5,
-				FailureRate: failRate,
+				Faults: faults,
 			}
 		}
 		dynSaved := reskit.MonteCarlo(mk(reskit.DynamicStrategy(dyn)), trials, 1, 0).Saved.Mean()

@@ -1,8 +1,6 @@
 package reskit
 
 import (
-	"context"
-
 	"reskit/internal/core"
 	"reskit/internal/dist"
 	"reskit/internal/planner"
@@ -100,14 +98,6 @@ func PlanReservationLength(cfg PlannerConfig) ([]PlannerOption, error) {
 	return planner.Plan(cfg)
 }
 
-// PlanReservationLengthContext is PlanReservationLength with
-// cancellation: the trials run through the run engine on a worker pool
-// (cfg.Workers; results are bit-identical for any worker count), and
-// ctx stops the sweep at the next trial boundary.
-func PlanReservationLengthContext(ctx context.Context, cfg PlannerConfig) ([]PlannerOption, error) {
-	return planner.PlanContext(ctx, cfg)
-}
-
 // --- Queue-aware wall-clock simulation (platform side of Section 1) ---
 
 // WaitModel yields the queue-wait law for a reservation request of
@@ -163,12 +153,4 @@ type MultiDPSolution = core.MultiDPSolution
 // selects a 256-step default; cost grows as steps^3).
 func NewMultiDP(r float64, task, ckpt Continuous, steps int) *MultiDP {
 	return core.NewMultiDP(r, task, ckpt, steps)
-}
-
-// MisspecificationLoss returns the fraction of the optimal expected work
-// achieved when the checkpoint instant is planned under `assumed` but
-// reality follows `truth` (same R) — how accurate a trace-learned D_C
-// needs to be.
-func MisspecificationLoss(truth, assumed *Preemptible) float64 {
-	return core.MisspecificationLoss(truth, assumed)
 }

@@ -1,26 +1,19 @@
 package reskit
 
-import (
-	"context"
+import "reskit/internal/fault"
 
-	"reskit/internal/dist"
-	"reskit/internal/fault"
-	"reskit/internal/sim"
-	"reskit/internal/strategy"
-)
-
-// Fault injection, cancellation, and validated construction.
+// Fault injection.
 //
 // Error handling contract of the facade: constructors taking parameters
 // that are normally program constants (Normal, Truncate, NewDynamic,
 // strategy constructors, ...) panic on invalid arguments, exactly like
 // their internal counterparts. Entry points whose inputs typically come
-// from the outside world — fault-plan specs (ParseFaults), trace logs
-// (FitTrace, CheckpointLawFromTrace), configuration structs
-// (SimConfig.Validate, CampaignConfig.Validate) and the Try* law
-// constructors below — return errors instead. Simulation entry points
-// (Simulate, MonteCarlo*) panic on invalid configurations; validate
-// untrusted configs first.
+// from the outside world — fault-plan specs (ParseFaults) and the fault
+// models below, trace logs (FitTraceAll, CheckpointLawFromTrace),
+// configuration structs (SimConfig.Validate, CampaignConfig.Validate)
+// and the TryNew* problem constructors — return errors instead.
+// Simulation entry points (Simulate, MonteCarlo*) panic on invalid
+// configurations; validate untrusted configs first.
 
 // FaultPlan bundles the fault models injected into a simulated
 // reservation: fail-stop crashes (Crash), checkpoint-commit failures
@@ -31,95 +24,18 @@ import (
 type FaultPlan = fault.Plan
 
 // ParseFaults parses the compact fault-spec syntax of the simulate
-// command's -faults flag, e.g. "crash=exp:0.02,ckptfail=0.05". The empty
-// string and "none" yield a nil plan.
+// command's -faults flag, e.g. "crash=exp:0.02,ckptfail=0.05", which
+// spells every bundled model: crash=exp or crash=weibull arrivals,
+// ckptfail or ckpthazard commit failures, and revoke=exp or
+// revoke=uniform revocation. The empty string and "none" yield a nil
+// plan.
 func ParseFaults(spec string) (*FaultPlan, error) { return fault.Parse(spec) }
 
 // CrashExponential returns the memoryless fail-stop crash process with
 // the given rate (MTBF = 1/rate), for FaultPlan.Crash.
 func CrashExponential(rate float64) (fault.ExpArrival, error) { return fault.NewExpArrival(rate) }
 
-// CrashWeibull returns Weibull(shape, scale) crash inter-arrival times,
-// for FaultPlan.Crash. Shape < 1 models infant mortality, shape > 1
-// wear-out.
-func CrashWeibull(shape, scale float64) (fault.WeibullArrival, error) {
-	return fault.NewWeibullArrival(shape, scale)
-}
-
 // CkptFailBernoulli returns the checkpoint-commit failure model that
 // fails each attempt independently with probability p, for
 // FaultPlan.Ckpt.
 func CkptFailBernoulli(p float64) (fault.CkptBernoulli, error) { return fault.NewCkptBernoulli(p) }
-
-// CkptFailHazard returns the duration-dependent checkpoint failure
-// model: an attempt of duration d fails with probability 1-exp(-rate*d),
-// for FaultPlan.Ckpt.
-func CkptFailHazard(rate float64) (fault.CkptHazard, error) { return fault.NewCkptHazard(rate) }
-
-// RevokeExponential returns the spot-style revocation model that
-// reclaims the reservation at an Exponential(rate) instant, for
-// FaultPlan.Revoke.
-func RevokeExponential(rate float64) (fault.ExpRevocation, error) {
-	return fault.NewExpRevocation(rate)
-}
-
-// RevokeUniform returns the revocation model that reclaims the
-// reservation with probability p at an instant uniform on (0, R), for
-// FaultPlan.Revoke.
-func RevokeUniform(p float64) (fault.UniformRevocation, error) {
-	return fault.NewUniformRevocation(p)
-}
-
-// MonteCarloContext is MonteCarlo with cooperative cancellation: when
-// ctx is cancelled, workers stop at the next trial boundary and the call
-// returns the well-formed aggregate of every completed trial alongside
-// ctx.Err(). Without cancellation the aggregate is bit-identical to
-// MonteCarlo and the error is nil.
-func MonteCarloContext(ctx context.Context, cfg SimConfig, trials int, seed uint64, workers int) (SimAggregate, error) {
-	return sim.MonteCarloContext(ctx, cfg, trials, seed, workers)
-}
-
-// MonteCarloCampaignContext is MonteCarloCampaign with cooperative
-// cancellation: when ctx is cancelled, workers stop at the next
-// reservation boundary and the call returns the well-formed aggregate of
-// every fully completed trial alongside ctx.Err(). Without cancellation
-// the aggregate is bit-identical to MonteCarloCampaign and the error is
-// nil.
-func MonteCarloCampaignContext(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int) (CampaignAggregate, error) {
-	return sim.MonteCarloCampaignContext(ctx, cfg, trials, seed, workers)
-}
-
-// RetryStrategy wraps inner with bounded retry-on-checkpoint-failure:
-// after an injected commit failure it immediately attempts again, as
-// long as at least budget reservation time remains (pick a high quantile
-// of the checkpoint law) and fewer than maxAttempts attempts have failed
-// at this boundary (0 = unbounded).
-func RetryStrategy(inner Strategy, budget float64, maxAttempts int) Strategy {
-	return strategy.NewRetry(inner, budget, maxAttempts)
-}
-
-// MarginDynamicStrategy is the paper's dynamic rule computed against a
-// checkpoint law inflated by (1 + margin): it checkpoints earlier than
-// the fault-free optimum, hedging the extra replay cost that injected
-// faults create. Margin 0 reproduces DynamicStrategy.
-func MarginDynamicStrategy(r float64, task, ckpt Continuous, margin float64) Strategy {
-	return strategy.NewMarginDynamic(r, task, ckpt, margin)
-}
-
-// Prebuild forces construction of a Dynamic problem's coefficient table
-// under ctx, so a later simulation does not pay the build inside its
-// timed or cancellable region. A cancelled build leaves the table
-// unbuilt and retryable.
-func Prebuild(ctx context.Context, d *Dynamic) error { return d.Prebuild(ctx) }
-
-// TryTruncate is Truncate returning an error instead of panicking, for
-// bounds that come from untrusted input.
-func TryTruncate(base Continuous, lo, hi float64) (*dist.Truncated, error) {
-	return dist.TryTruncate(base, lo, hi)
-}
-
-// TryEmpirical is Empirical returning an error instead of panicking, for
-// samples read from untrusted logs.
-func TryEmpirical(sample []float64) (*dist.Empirical, error) {
-	return dist.TryNewEmpirical(sample)
-}

@@ -34,6 +34,7 @@ import (
 
 	"reskit/internal/core"
 	"reskit/internal/dist"
+	"reskit/internal/httpd"
 	"reskit/internal/lawspec"
 	"reskit/internal/obs"
 )
@@ -105,36 +106,13 @@ func (q Query) elapsed() float64 {
 	return q.Elapsed
 }
 
-// Hex64 is a uint64 that marshals as a 16-digit hex JSON string — the
-// fingerprint representation (a raw JSON number would lose bits in
-// consumers that parse numbers as float64).
-type Hex64 uint64
-
-// MarshalJSON renders the value as "%016x".
-func (h Hex64) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + fmt.Sprintf("%016x", uint64(h)) + `"`), nil
-}
-
-// UnmarshalJSON accepts the hex-string form.
-func (h *Hex64) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("advisor: fingerprint must be a hex string, got %s", data)
-	}
-	v, err := strconv.ParseUint(string(data[1:len(data)-1]), 16, 64)
-	if err != nil {
-		return fmt.Errorf("advisor: bad fingerprint: %w", err)
-	}
-	*h = Hex64(v)
-	return nil
-}
-
 // Answer is one policy decision. It is a flat struct — only the field
 // groups matching Mode are meaningful — so a cache hit materializes it
 // with zero allocations.
 type Answer struct {
-	Mode        string  `json:"mode"`
-	Fingerprint Hex64   `json:"fingerprint"`
-	R           float64 `json:"r"`
+	Mode        string      `json:"mode"`
+	Fingerprint httpd.Hex64 `json:"fingerprint"`
+	R           float64     `json:"r"`
 
 	// Dynamic (Section 4.3): the decision for the queried state plus
 	// the indifference threshold W_int (HasWInt false when the curves
@@ -555,7 +533,7 @@ func buildDynamic(q Query, ckpt dist.Continuous) (*core.Dynamic, error) {
 // answer materializes the flat Answer for this entry. Value-typed and
 // allocation-free: every string it carries is shared with the entry.
 func (e *entry) answer(fp uint64, q Query) Answer {
-	ans := Answer{Mode: e.art.Mode, Fingerprint: Hex64(fp), R: e.art.R}
+	ans := Answer{Mode: e.art.Mode, Fingerprint: httpd.Hex64(fp), R: e.art.R}
 	switch {
 	case e.art.Preempt != nil:
 		t := e.art.Preempt

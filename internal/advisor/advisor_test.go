@@ -12,6 +12,7 @@ import (
 	"reskit/internal/ckpt"
 	"reskit/internal/core"
 	"reskit/internal/dist"
+	"reskit/internal/httpd"
 	"reskit/internal/lawspec"
 	"reskit/internal/obs"
 )
@@ -371,7 +372,7 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 
 // TestHex64JSON pins the wire form of fingerprints.
 func TestHex64JSON(t *testing.T) {
-	in := Hex64(0x00ab_cdef_0123_4567)
+	in := httpd.Hex64(0x00ab_cdef_0123_4567)
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +380,7 @@ func TestHex64JSON(t *testing.T) {
 	if string(data) != `"00abcdef01234567"` {
 		t.Fatalf("marshal: %s", data)
 	}
-	var out Hex64
+	var out httpd.Hex64
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}

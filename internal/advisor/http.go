@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+
+	"reskit/internal/httpd"
 )
 
 // HTTP surface:
@@ -43,10 +44,6 @@ type BatchAnswer struct {
 // with the request's Queries.
 type BatchResponse struct {
 	Answers []BatchAnswer `json:"answers"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // DecodeQuery parses one JSON query body. Split out (and fuzzed) so the
@@ -86,31 +83,31 @@ func (a *Advisor) Handler() http.Handler {
 }
 
 func (a *Advisor) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	body, ok := postBody(w, r)
+	body, ok := httpd.ReadPost(w, r, maxRequestBytes)
 	if !ok {
 		return
 	}
 	q, err := DecodeQuery(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ans, err := a.Advise(r.Context(), q)
 	if err != nil {
-		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
+		httpd.WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ans)
+	httpd.WriteJSON(w, http.StatusOK, ans)
 }
 
 func (a *Advisor) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := postBody(w, r)
+	body, ok := httpd.ReadPost(w, r, maxRequestBytes)
 	if !ok {
 		return
 	}
 	req, err := DecodeBatch(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	resp := BatchResponse{Answers: make([]BatchAnswer, len(req.Queries))}
@@ -122,28 +119,7 @@ func (a *Advisor) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Answers[i].Answer = ans
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// postBody enforces method and size limits and reads the request body.
-func postBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
-		return nil, false
-	}
-	return body, true
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // statusFor maps an Advise error to an HTTP status: context
@@ -154,12 +130,4 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
 }

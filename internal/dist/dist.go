@@ -74,10 +74,6 @@ type SummableDiscrete interface {
 	SumIID(y float64) Discrete
 }
 
-// StdDev is a convenience helper returning the standard deviation of any
-// continuous law.
-func StdDev(d Continuous) float64 { return math.Sqrt(d.Variance()) }
-
 // quantileBisect inverts a CDF by bisection over the support; used by laws
 // with no closed-form quantile. The CDF must be non-decreasing.
 func quantileBisect(cdf func(float64) float64, lo, hi, p float64) float64 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"reskit/internal/engine"
+	"reskit/internal/httpd"
 	"reskit/internal/obs"
 )
 
@@ -300,7 +301,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.checkID(req.RunID); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		httpd.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	now := time.Now()
@@ -308,7 +309,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.workers[req.Worker] = now
 	if c.runOverLocked() {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusDone})
+		httpd.WriteJSON(w, http.StatusOK, LeaseResponse{Status: StatusDone})
 		return
 	}
 	batch := leaseSize(c.ewmaNS, c.cfg.TargetLease, c.cfg.MinLease, c.cfg.MaxLease)
@@ -316,7 +317,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	jobs := c.popPendingLocked(batch)
 	if len(jobs) == 0 {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusWait, RetryMS: c.cfg.WaitRetry.Milliseconds()})
+		httpd.WriteJSON(w, http.StatusOK, LeaseResponse{Status: StatusWait, RetryMS: c.cfg.WaitRetry.Milliseconds()})
 		return
 	}
 	c.nextLease++
@@ -324,7 +325,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.leases[l.id] = l
 	c.leasesIssued.Inc()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseResponse{
+	httpd.WriteJSON(w, http.StatusOK, LeaseResponse{
 		Status: StatusLease, Lease: l.id, Jobs: jobs, TTLMS: c.cfg.LeaseTTL.Milliseconds(),
 	})
 }
@@ -360,7 +361,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		l.deadline = now.Add(c.cfg.LeaseTTL)
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, TTLMS: c.cfg.LeaseTTL.Milliseconds()})
+	httpd.WriteJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, TTLMS: c.cfg.LeaseTTL.Milliseconds()})
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -369,18 +370,18 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.checkID(req.RunID); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		httpd.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	for _, jr := range req.Results {
 		if jr.Job < 0 || jr.Job >= c.cfg.NumJobs {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("distrun: job index %d out of %d", jr.Job, c.cfg.NumJobs)})
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("distrun: job index %d out of %d", jr.Job, c.cfg.NumJobs))
 			return
 		}
 	}
 	for _, jf := range req.Failed {
 		if jf.Job < 0 || jf.Job >= c.cfg.NumJobs {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("distrun: job index %d out of %d", jf.Job, c.cfg.NumJobs)})
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("distrun: job index %d out of %d", jf.Job, c.cfg.NumJobs))
 			return
 		}
 	}
@@ -448,7 +449,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	resp.Done = c.runOverLocked()
 	c.maybeFinishLocked()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // acceptLocked commits one fresh payload and records it in the ledger.
@@ -625,39 +626,16 @@ loop:
 
 // --- HTTP plumbing ----------------------------------------------------
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// decodeInto enforces POST + size limits and decodes the JSON body.
+// decodeInto reads a size-capped POST body and decodes it into v,
+// answering 405, 413 or 400 itself when it cannot.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return false
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		}
+	data, ok := httpd.ReadPost(w, r, maxRequestBytes)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("distrun: bad request JSON: %v", err)})
+		httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("distrun: bad request JSON: %v", err))
 		return false
 	}
 	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
 }

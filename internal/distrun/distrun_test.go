@@ -204,7 +204,7 @@ func TestDistLeaseExpiryRequeueAndLateDedup(t *testing.T) {
 	cfg.Reg = reg
 	h := startHarness(t, ctx, cfg)
 
-	id := distrun.RunID{Fingerprint: distrun.Hex64(testFP), Seed: distrun.Hex64(testSeed), NumJobs: n}
+	id := distrun.RunID{Fingerprint: httpd.Hex64(testFP), Seed: httpd.Hex64(testSeed), NumJobs: n}
 	cl := httpd.NewClient()
 	var lr distrun.LeaseResponse
 	if err := cl.PostJSON(ctx, h.url+distrun.PathLease, distrun.LeaseRequest{RunID: id, Worker: "stalled"}, &lr); err != nil {
@@ -275,7 +275,7 @@ func TestDistLateSuccessAfterGiveUp(t *testing.T) {
 	cfg.Reg = reg
 	h := startHarness(t, ctx, cfg)
 
-	id := distrun.RunID{Fingerprint: distrun.Hex64(testFP), Seed: distrun.Hex64(testSeed), NumJobs: n}
+	id := distrun.RunID{Fingerprint: httpd.Hex64(testFP), Seed: httpd.Hex64(testSeed), NumJobs: n}
 	cl := httpd.NewClient()
 	var lr distrun.LeaseResponse
 	if err := cl.PostJSON(ctx, h.url+distrun.PathLease, distrun.LeaseRequest{RunID: id, Worker: "flaky"}, &lr); err != nil {
@@ -352,7 +352,7 @@ func TestDistDuplicateSubmission(t *testing.T) {
 	cfg.MinLease = n
 	h := startHarness(t, ctx, cfg)
 
-	id := distrun.RunID{Fingerprint: distrun.Hex64(testFP), Seed: distrun.Hex64(testSeed), NumJobs: n}
+	id := distrun.RunID{Fingerprint: httpd.Hex64(testFP), Seed: httpd.Hex64(testSeed), NumJobs: n}
 	cl := httpd.NewClient()
 	var lr distrun.LeaseResponse
 	if err := cl.PostJSON(ctx, h.url+distrun.PathLease, distrun.LeaseRequest{RunID: id, Worker: "dup"}, &lr); err != nil {

@@ -34,7 +34,7 @@ func TestDistRefusesOversizedPayload(t *testing.T) {
 	cfg.Reg = reg
 	h := startHarness(t, ctx, cfg)
 
-	id := distrun.RunID{Fingerprint: distrun.Hex64(testFP), Seed: distrun.Hex64(testSeed), NumJobs: n}
+	id := distrun.RunID{Fingerprint: httpd.Hex64(testFP), Seed: httpd.Hex64(testSeed), NumJobs: n}
 	cl := httpd.NewClient()
 	var lr distrun.LeaseResponse
 	if err := cl.PostJSON(ctx, h.url+distrun.PathLease, distrun.LeaseRequest{RunID: id, Worker: "bloated"}, &lr); err != nil {

@@ -25,10 +25,7 @@
 // incomplete leases re-issued.
 package distrun
 
-import (
-	"fmt"
-	"strconv"
-)
+import "reskit/internal/httpd"
 
 // Protocol endpoints served by the coordinator (Coordinator.Handler).
 const (
@@ -49,37 +46,14 @@ const (
 	StatusDone = "done"
 )
 
-// Hex64 is a uint64 that marshals as a 16-digit hex JSON string: run
-// fingerprints and seeds must survive JSON consumers that parse numbers
-// as float64.
-type Hex64 uint64
-
-// MarshalJSON renders the value as "%016x".
-func (h Hex64) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + fmt.Sprintf("%016x", uint64(h)) + `"`), nil
-}
-
-// UnmarshalJSON accepts the hex-string form.
-func (h *Hex64) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("distrun: hex64 must be a hex string, got %s", data)
-	}
-	v, err := strconv.ParseUint(string(data[1:len(data)-1]), 16, 64)
-	if err != nil {
-		return fmt.Errorf("distrun: bad hex64: %w", err)
-	}
-	*h = Hex64(v)
-	return nil
-}
-
 // RunID identifies the run a message belongs to. The coordinator
 // rejects any message whose identity disagrees with its own (409), so a
 // worker built from different flags — different laws, trial count, or
 // seed — can never contribute payloads to the wrong ledger.
 type RunID struct {
-	Fingerprint Hex64 `json:"fingerprint"`
-	Seed        Hex64 `json:"seed"`
-	NumJobs     int   `json:"num_jobs"`
+	Fingerprint httpd.Hex64 `json:"fingerprint"`
+	Seed        httpd.Hex64 `json:"seed"`
+	NumJobs     int         `json:"num_jobs"`
 }
 
 // LeaseRequest asks for a batch of jobs.

@@ -86,7 +86,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if logw == nil {
 		logw = io.Discard
 	}
-	id := RunID{Fingerprint: Hex64(cfg.Fingerprint), Seed: Hex64(cfg.Seed), NumJobs: cfg.NumJobs}
+	id := RunID{Fingerprint: httpd.Hex64(cfg.Fingerprint), Seed: httpd.Hex64(cfg.Seed), NumJobs: cfg.NumJobs}
 
 	fails := 0
 	for {
@@ -111,7 +111,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			if retry <= 0 {
 				retry = DefaultWaitRetry
 			}
-			if !sleepCtx(ctx, retry) {
+			if !httpd.SleepCtx(ctx, retry) {
 				return ctx.Err()
 			}
 		case StatusLease:
@@ -153,7 +153,7 @@ func protocolFailure(ctx context.Context, fails int, err error) int {
 	if fails >= maxProtocolFailures || ctx.Err() != nil {
 		return -1
 	}
-	if !sleepCtx(ctx, time.Duration(fails)*200*time.Millisecond) {
+	if !httpd.SleepCtx(ctx, time.Duration(fails)*200*time.Millisecond) {
 		return -1
 	}
 	return fails
@@ -262,20 +262,5 @@ func heartbeatLoop(ctx context.Context, cfg WorkerConfig, leaseID uint64, interv
 			cfg.Client.PostJSON(bctx, cfg.URL+PathHeartbeat, HeartbeatRequest{Worker: cfg.Name, Lease: leaseID}, &hr)
 			cancel()
 		}
-	}
-}
-
-// sleepCtx pauses for d unless the context dies first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
 	}
 }

@@ -1,11 +1,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"reskit/internal/rng"
@@ -45,7 +41,7 @@ type Failure struct {
 	KeepGoing bool
 }
 
-// validate rejects nonsensical policies up front, so a bad spec fails
+// validate rejects nonsensical policies up front, so a bad policy fails
 // the run before any job does.
 func (f Failure) validate() error {
 	switch {
@@ -65,11 +61,11 @@ func (f Failure) validate() error {
 	return nil
 }
 
-// maxRetries bounds the retry budget; a budget beyond this is a spec
-// typo, not a plan.
+// maxRetries bounds the retry budget; a budget beyond this is a typo,
+// not a plan.
 const maxRetries = 1 << 16
 
-// defaultBackoff seeds the exponential schedule when the spec sets
+// defaultBackoff seeds the exponential schedule when the policy sets
 // retries without a base delay.
 const defaultBackoff = 100 * time.Millisecond
 
@@ -105,110 +101,6 @@ func (f Failure) backoff(seed uint64, job, attempt int, jit *rng.Source) time.Du
 	jit.Reinit(seed^failureJitterSalt, uint64(job)*0x9e3779b97f4a7c15+uint64(attempt))
 	half := d / 2
 	return half + time.Duration(jit.Float64()*float64(half))
-}
-
-// String renders the policy as the canonical spec ParseFailure accepts:
-// fields in fixed order, defaults omitted. The zero policy renders
-// empty.
-func (f Failure) String() string {
-	var parts []string
-	if f.Retries != 0 {
-		parts = append(parts, fmt.Sprintf("retries=%d", f.Retries))
-	}
-	if f.Backoff != 0 {
-		parts = append(parts, "backoff="+f.Backoff.String())
-	}
-	if f.MaxBackoff != 0 {
-		parts = append(parts, "max-backoff="+f.MaxBackoff.String())
-	}
-	if f.JobTimeout != 0 {
-		parts = append(parts, "timeout="+f.JobTimeout.String())
-	}
-	if f.KeepGoing {
-		parts = append(parts, "keep-going")
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseFailure parses a compact failure-policy spec — comma-separated
-// key=value pairs plus the bare keep-going flag:
-//
-//	retries=3,backoff=50ms,max-backoff=5s,timeout=1m,keep-going
-//
-// Keys may appear in any order but at most once; unknown keys and
-// invalid values are errors, and the assembled policy is validated
-// (e.g. backoff must not exceed max-backoff). The empty string parses
-// to the zero policy.
-func ParseFailure(s string) (Failure, error) {
-	var f Failure
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return f, nil
-	}
-	seen := make(map[string]bool, 5)
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return Failure{}, errors.New("engine: empty field in failure spec")
-		}
-		key, val, hasVal := strings.Cut(field, "=")
-		key = strings.TrimSpace(key)
-		if seen[key] {
-			return Failure{}, fmt.Errorf("engine: duplicate %q in failure spec", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "keep-going":
-			if hasVal {
-				return Failure{}, errors.New("engine: keep-going takes no value")
-			}
-			f.KeepGoing = true
-			continue
-		case "retries":
-			f.Retries, err = strconv.Atoi(strings.TrimSpace(val))
-		case "backoff":
-			f.Backoff, err = parseSpecDuration(val)
-		case "max-backoff":
-			f.MaxBackoff, err = parseSpecDuration(val)
-		case "timeout":
-			f.JobTimeout, err = parseSpecDuration(val)
-		default:
-			return Failure{}, fmt.Errorf("engine: unknown key %q in failure spec (known: %s)",
-				key, strings.Join(failureSpecKeys(), ", "))
-		}
-		if !hasVal && key != "keep-going" {
-			return Failure{}, fmt.Errorf("engine: %s needs a value in failure spec", key)
-		}
-		if err != nil {
-			return Failure{}, fmt.Errorf("engine: bad %s in failure spec: %w", key, err)
-		}
-	}
-	if err := f.validate(); err != nil {
-		return Failure{}, err
-	}
-	return f, nil
-}
-
-// parseSpecDuration parses a duration field, rejecting the negative and
-// non-finite shapes time.ParseDuration happily accepts.
-func parseSpecDuration(s string) (time.Duration, error) {
-	d, err := time.ParseDuration(strings.TrimSpace(s))
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %v", d)
-	}
-	return d, nil
-}
-
-// failureSpecKeys lists the accepted spec keys, sorted, for error
-// messages.
-func failureSpecKeys() []string {
-	keys := []string{"retries", "backoff", "max-backoff", "timeout", "keep-going"}
-	sort.Strings(keys)
-	return keys
 }
 
 // JobError records one job's permanent failure in a keep-going run: the

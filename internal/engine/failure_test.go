@@ -17,58 +17,6 @@ import (
 	"reskit/internal/rng"
 )
 
-func TestParseFailure(t *testing.T) {
-	cases := []struct {
-		spec string
-		want Failure
-		ok   bool
-	}{
-		{"", Failure{}, true},
-		{"retries=3", Failure{Retries: 3}, true},
-		{"retries=3,backoff=50ms,max-backoff=5s,timeout=1m,keep-going",
-			Failure{Retries: 3, Backoff: 50 * time.Millisecond, MaxBackoff: 5 * time.Second, JobTimeout: time.Minute, KeepGoing: true}, true},
-		{" keep-going , retries=1 ", Failure{Retries: 1, KeepGoing: true}, true},
-		{"retries=-1", Failure{}, false},
-		{"retries=99999999", Failure{}, false},
-		{"retries=1,retries=2", Failure{}, false},
-		{"backoff=-5ms", Failure{}, false},
-		{"backoff=10s,max-backoff=1s", Failure{}, false},
-		{"keep-going=yes", Failure{}, false},
-		{"retries", Failure{}, false},
-		{"turbo=1", Failure{}, false},
-		{"retries=,", Failure{}, false},
-		{",", Failure{}, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseFailure(tc.spec)
-		if tc.ok != (err == nil) {
-			t.Errorf("ParseFailure(%q) err = %v, want ok=%v", tc.spec, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("ParseFailure(%q) = %+v, want %+v", tc.spec, got, tc.want)
-		}
-	}
-}
-
-func TestFailureStringRoundTrip(t *testing.T) {
-	for _, f := range []Failure{
-		{},
-		{Retries: 4},
-		{Retries: 2, Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond},
-		{JobTimeout: 30 * time.Second, KeepGoing: true},
-		{Retries: 1, Backoff: 250 * time.Millisecond, JobTimeout: time.Second, KeepGoing: true},
-	} {
-		back, err := ParseFailure(f.String())
-		if err != nil {
-			t.Fatalf("reparse %q: %v", f.String(), err)
-		}
-		if back != f {
-			t.Fatalf("round trip %+v -> %q -> %+v", f, f.String(), back)
-		}
-	}
-}
-
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	pol := Failure{Retries: 10, Backoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 	var jit rng.Source
@@ -369,15 +317,19 @@ func TestRunKeepGoingFlushesSnapshotEvenWithFailures(t *testing.T) {
 }
 
 func TestRunRejectsInvalidPolicy(t *testing.T) {
-	spec := hashSpec(2, 1)
-	spec.Failure = Failure{Retries: -1}
-	if _, err := Run(context.Background(), spec); err == nil {
-		t.Fatal("negative retry budget must be rejected")
-	}
-	spec = hashSpec(2, 1)
-	spec.Failure = Failure{Backoff: time.Second, MaxBackoff: time.Millisecond}
-	if _, err := Run(context.Background(), spec); err == nil {
-		t.Fatal("backoff above max-backoff must be rejected")
+	for _, f := range []Failure{
+		{Retries: -1},
+		{Retries: maxRetries + 1},
+		{Backoff: -time.Millisecond},
+		{MaxBackoff: -time.Millisecond},
+		{Backoff: time.Second, MaxBackoff: time.Millisecond},
+		{JobTimeout: -time.Second},
+	} {
+		spec := hashSpec(2, 1)
+		spec.Failure = f
+		if _, err := Run(context.Background(), spec); err == nil {
+			t.Errorf("policy %+v must be rejected", f)
+		}
 	}
 }
 

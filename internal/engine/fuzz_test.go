@@ -104,38 +104,3 @@ func v1Image(kind byte, n uint64) []byte {
 	le.PutUint32(d[8:12], crc32.ChecksumIEEE(d[12:]))
 	return d
 }
-
-// FuzzParseFailure hammers the retry/backoff policy parser with
-// arbitrary specs: it must never panic, every accepted spec must
-// validate, and the canonical String rendering must reparse to the same
-// policy (a stable round trip keeps flag echoing and config files
-// honest).
-func FuzzParseFailure(f *testing.F) {
-	f.Add("")
-	f.Add("retries=3")
-	f.Add("retries=3,backoff=50ms,max-backoff=5s,timeout=1m,keep-going")
-	f.Add("keep-going,retries=0")
-	f.Add("retries=-1")
-	f.Add("backoff=10s,max-backoff=1s")
-	f.Add("retries=1,retries=2")
-	f.Add("timeout=,")
-	f.Add("  keep-going  ,  retries=7  ")
-
-	f.Fuzz(func(t *testing.T, spec string) {
-		pol, err := ParseFailure(spec)
-		if err != nil {
-			return
-		}
-		if verr := pol.validate(); verr != nil {
-			t.Fatalf("ParseFailure(%q) accepted an invalid policy %+v: %v", spec, pol, verr)
-		}
-		rendered := pol.String()
-		back, err := ParseFailure(rendered)
-		if err != nil {
-			t.Fatalf("String round trip: ParseFailure(%q) = %v", rendered, err)
-		}
-		if back != pol {
-			t.Fatalf("round trip drift: %q -> %+v -> %q -> %+v", spec, pol, rendered, back)
-		}
-	})
-}

@@ -137,7 +137,7 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 		if !retryable || attempt >= c.retries {
 			return err
 		}
-		if !sleepCtx(ctx, time.Duration(attempt+1)*c.backoff) {
+		if !SleepCtx(ctx, time.Duration(attempt+1)*c.backoff) {
 			return fmt.Errorf("%w (last attempt: %v)", ctx.Err(), last)
 		}
 	}
@@ -184,9 +184,7 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, out any)
 // decodeErrorBody extracts the conventional {"error": ...} message from
 // an error response, falling back to a bounded raw prefix.
 func decodeErrorBody(data []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e ErrorBody
 	if json.Unmarshal(data, &e) == nil && e.Error != "" {
 		return e.Error
 	}
@@ -195,19 +193,4 @@ func decodeErrorBody(data []byte) string {
 		data = data[:max]
 	}
 	return string(bytes.TrimSpace(data))
-}
-
-// sleepCtx pauses for d unless the context dies first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the dependency-free observability layer of reskit: it
-// provides the atomic counters, gauges and lock-free streaming histograms
+// provides the atomic counters and gauges and the quantile sketches
 // that instrument the Monte-Carlo hot paths, a per-run event-tracing hook
 // with deterministic sampling, and a live progress reporter for long
 // campaigns.

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -24,13 +23,13 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge has a value")
 	}
-	var h *Hist
-	h.Observe(1)
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Error("nil hist counted")
+	var q *Quantiles
+	q.Observe(1)
+	if s := q.Snapshot(); s.Count != 0 {
+		t.Error("nil quantile sketch counted")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Hist("x", 0, 1, 4) != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Quantiles("x") != nil {
 		t.Error("nil registry returned a live instrument")
 	}
 	r.Counter("x").Inc() // the chained no-op the hot paths rely on
@@ -70,50 +69,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistBucketing(t *testing.T) {
-	h := NewHist(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.999, -0.1, 10, 11, math.NaN()} {
-		h.Observe(x)
-	}
-	s := h.Snapshot()
-	if want := []int64{2, 1, 1, 0, 1}; !equalInt64(s.Counts, want) {
-		t.Errorf("counts = %v, want %v", s.Counts, want)
-	}
-	if s.Under != 1 || s.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", s.Under, s.Over)
-	}
-	if s.NaN != 1 {
-		t.Errorf("nan = %d, want 1", s.NaN)
-	}
-	if s.Count != 8 { // NaN is rejected, everything else counts
-		t.Errorf("count = %d, want 8", s.Count)
-	}
-}
-
-func TestHistConcurrentTotal(t *testing.T) {
-	h := NewHist(0, 1, 8)
-	var wg sync.WaitGroup
-	const workers, per = 8, 5000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(float64(i%100) / 100)
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	var sum int64
-	for _, c := range s.Counts {
-		sum += c
-	}
-	if sum+s.Under+s.Over != workers*per || s.Count != workers*per {
-		t.Errorf("lost observations: buckets %d, count %d, want %d", sum, s.Count, workers*per)
-	}
-}
-
 func TestRegistryIdempotentAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {
@@ -121,8 +76,8 @@ func TestRegistryIdempotentAndSnapshot(t *testing.T) {
 	}
 	r.Counter("a").Add(3)
 	r.Gauge("g").Set(1.5)
-	r.Hist("h", 0, 4, 2).Observe(1)
-	if got := r.Names(); strings.Join(got, ",") != "a,g,h" {
+	r.Quantiles("q").Observe(1)
+	if got := r.Names(); strings.Join(got, ",") != "a,g,q" {
 		t.Errorf("names = %v", got)
 	}
 
@@ -134,16 +89,9 @@ func TestRegistryIdempotentAndSnapshot(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if snap.Counters["a"] != 3 || snap.Gauges["g"] != 1.5 || snap.Hists["h"].Count != 1 {
+	if snap.Counters["a"] != 3 || snap.Gauges["g"] != 1.5 || snap.Quantiles["q"].Count != 1 {
 		t.Errorf("snapshot lost values: %+v", snap)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("conflicting histogram layout did not panic")
-		}
-	}()
-	r.Hist("h", 0, 8, 2)
 }
 
 func TestRegistryRemoveGauge(t *testing.T) {
@@ -216,16 +164,4 @@ func TestCollector(t *testing.T) {
 	if c.Len() != 400 || len(c.Events()) != 400 {
 		t.Errorf("collected %d events, want 400", c.Len())
 	}
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // Progress is a live progress reporter for long Monte-Carlo campaigns:
-// workers call Add (one atomic add) as trials complete, and a single
-// reporter goroutine periodically renders "done/total, trials/sec, ETA"
-// to a writer. It is cancellation-aware — the reporter stops on Stop or
-// when the context given to Start is cancelled, always emitting a final
-// line so interrupted campaigns still report how far they got.
+// workers call Add (one atomic add) as units of work (trials, jobs,
+// figures) complete, and a single reporter goroutine periodically
+// renders "done/total, units/sec, ETA" to a writer. It is
+// cancellation-aware — the reporter stops on Stop or when the context
+// given to Start is cancelled, always emitting a final line so
+// interrupted campaigns still report how far they got.
 //
 // A nil *Progress is a no-op on every method, so the instrumented hot
 // path pays one nil check when progress reporting is off.
@@ -46,7 +47,8 @@ type Progress struct {
 }
 
 // NewProgress returns a reporter writing to w every interval (default
-// 1s) while running. total <= 0 means the total is unknown: rendered
+// 1s) while running. label is the plural of the unit the reporter counts
+// ("trials", "jobs"). total <= 0 means the total is unknown: rendered
 // lines omit the percentage and ETA.
 func NewProgress(w io.Writer, label string, total int64, interval time.Duration) *Progress {
 	if interval <= 0 {
@@ -55,7 +57,7 @@ func NewProgress(w io.Writer, label string, total int64, interval time.Duration)
 	return &Progress{w: w, label: label, total: total, interval: interval, now: time.Now}
 }
 
-// Add records n completed trials. Safe for concurrent use.
+// Add records n completed units. Safe for concurrent use.
 func (p *Progress) Add(n int64) {
 	if p == nil {
 		return
@@ -63,7 +65,7 @@ func (p *Progress) Add(n int64) {
 	p.done.Add(n)
 }
 
-// Done returns the number of trials recorded so far.
+// Done returns the number of units recorded so far.
 func (p *Progress) Done() int64 {
 	if p == nil {
 		return 0
@@ -172,8 +174,10 @@ func (p *Progress) Stop() {
 	}
 }
 
-// Render formats the current progress line: trials done, completion
-// percentage, sustained trials/sec and the ETA extrapolated from them.
+// Render formats the current progress line: units done, completion
+// percentage, sustained units/sec and the ETA extrapolated from them.
+// The label names the unit counted ("trials", "jobs", "figures"), so it
+// heads the line and names both counts.
 func (p *Progress) Render() string {
 	if p == nil {
 		return ""
@@ -206,8 +210,8 @@ func (p *Progress) Render() string {
 		} else if done >= p.total {
 			eta = "0s"
 		}
-		return fmt.Sprintf("%s: %d/%d trials (%.1f%%), %.0f trials/s%s%s, ETA %s",
-			p.label, done, p.total, pct, rate, campaign, prec, eta)
+		return fmt.Sprintf("%s: %d/%d %s (%.1f%%), %.0f %s/s%s%s, ETA %s",
+			p.label, done, p.total, p.label, pct, rate, p.label, campaign, prec, eta)
 	}
-	return fmt.Sprintf("%s: %d trials, %.0f trials/s%s%s", p.label, done, rate, campaign, prec)
+	return fmt.Sprintf("%s: %d %s, %.0f %s/s%s%s", p.label, done, p.label, rate, p.label, campaign, prec)
 }

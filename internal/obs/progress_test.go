@@ -29,15 +29,39 @@ func (b *syncBuffer) String() string {
 }
 
 func TestProgressRender(t *testing.T) {
-	p := NewProgress(&bytes.Buffer{}, "campaign", 1000, time.Second)
+	p := NewProgress(&bytes.Buffer{}, "trials", 1000, time.Second)
 	base := time.Unix(100, 0)
 	p.started = base // as if Start had run at the base instant
 	p.Add(250)
 	p.now = func() time.Time { return base.Add(10 * time.Second) } // 25 trials/s
 	line := p.Render()
-	for _, want := range []string{"campaign:", "250/1000", "25.0%", "25 trials/s", "ETA 30s"} {
+	for _, want := range []string{"trials:", "250/1000 trials", "25.0%", "25 trials/s", "ETA 30s"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("render %q missing %q", line, want)
+		}
+	}
+}
+
+// TestProgressNamesItsUnit: the label is the unit the reporter counts,
+// so a reporter of jobs speaks of jobs, with or without a total.
+func TestProgressNamesItsUnit(t *testing.T) {
+	for _, total := range []int64{40, 0} {
+		p := NewProgress(&bytes.Buffer{}, "jobs", total, time.Second)
+		base := time.Unix(100, 0)
+		p.started = base
+		p.Add(4)
+		p.now = func() time.Time { return base.Add(2 * time.Second) }
+		line := p.Render()
+		if strings.Contains(line, "trials") {
+			t.Errorf("total=%d: jobs reporter speaks of trials: %q", total, line)
+		}
+		for _, want := range []string{"jobs: 4", "4 jobs", "2 jobs/s"} {
+			if total > 0 && want == "4 jobs" {
+				want = "4/40 jobs"
+			}
+			if !strings.Contains(line, want) {
+				t.Errorf("total=%d: render %q missing %q", total, line, want)
+			}
 		}
 	}
 }
@@ -47,13 +71,13 @@ func TestProgressRender(t *testing.T) {
 // there is no total to extrapolate toward.
 func TestProgressRenderUnknownTotal(t *testing.T) {
 	for _, total := range []int64{0, -1} {
-		p := NewProgress(&bytes.Buffer{}, "mc", total, time.Second)
+		p := NewProgress(&bytes.Buffer{}, "trials", total, time.Second)
 		base := time.Unix(100, 0)
 		p.started = base
 		p.Add(250)
 		p.now = func() time.Time { return base.Add(10 * time.Second) } // 25 trials/s
 		line := p.Render()
-		for _, want := range []string{"mc:", "250 trials", "25 trials/s"} {
+		for _, want := range []string{"trials:", "250 trials", "25 trials/s"} {
 			if !strings.Contains(line, want) {
 				t.Errorf("total=%d: render %q missing %q", total, line, want)
 			}
@@ -65,7 +89,7 @@ func TestProgressRenderUnknownTotal(t *testing.T) {
 		}
 	}
 	// Before any time elapses the rate renders as a plain 0.
-	p := NewProgress(&bytes.Buffer{}, "mc", 0, time.Second)
+	p := NewProgress(&bytes.Buffer{}, "trials", 0, time.Second)
 	p.Add(5)
 	if line := p.Render(); !strings.Contains(line, "5 trials, 0 trials/s") {
 		t.Errorf("zero-elapsed render: %q", line)

@@ -13,9 +13,6 @@ import (
 //
 //	Counter   -> counter
 //	Gauge     -> gauge
-//	Hist      -> histogram (cumulative le-buckets, _sum, _count;
-//	             underflow counts into every bucket, overflow only
-//	             into +Inf, NaN rejects into <name>_nan)
 //	Quantiles -> summary (quantile-labelled samples plus _count) with
 //	             <name>_min / <name>_max gauges alongside
 //
@@ -43,37 +40,10 @@ func WriteProm(w io.Writer, namespace string, s Snapshot) error {
 		n := promName(namespace, name)
 		fmt.Fprintf(ew, "# TYPE %s gauge\n%s %s\n", n, n, promFloat(s.Gauges[name]))
 	}
-	for _, name := range sortedKeys(s.Hists) {
-		writePromHist(ew, promName(namespace, name), s.Hists[name])
-	}
 	for _, name := range sortedKeys(s.Quantiles) {
 		writePromQuantiles(ew, promName(namespace, name), s.Quantiles[name])
 	}
 	return ew.err
-}
-
-// writePromHist renders one fixed-layout histogram. The Prometheus
-// bucket contract is "observations <= le, cumulative": underflow
-// observations (x < lo) are below every edge, so they seed the running
-// count; overflow observations (x >= hi) appear only in +Inf.
-func writePromHist(w io.Writer, n string, h HistSnapshot) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", n)
-	cum := h.Under
-	buckets := len(h.Counts)
-	if buckets > 0 {
-		width := (h.Hi - h.Lo) / float64(buckets)
-		for i, c := range h.Counts {
-			cum += c
-			edge := h.Lo + float64(i+1)*width
-			fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", n, promFloat(edge), cum)
-		}
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", n, promFloat(h.Mean*float64(h.Count)))
-	fmt.Fprintf(w, "%s_count %d\n", n, h.Count)
-	if h.NaN > 0 {
-		fmt.Fprintf(w, "# TYPE %s_nan counter\n%s_nan %d\n", n, n, h.NaN)
-	}
 }
 
 // writePromQuantiles renders one quantile sketch as a summary. The

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -66,10 +65,6 @@ func TestWritePromAllInstrumentKinds(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim.trials").Add(42)
 	r.Gauge("engine.jobs_per_sec").Set(123.5)
-	h := r.Hist("sim.saved_work", 0, 10, 4)
-	for _, x := range []float64{-1, 0.5, 2.5, 9.9, 15, math.NaN()} {
-		h.Observe(x)
-	}
 	q := r.Quantiles("engine.ns_per_job")
 	for i := 0; i < 100; i++ {
 		q.Observe(float64(i))
@@ -85,7 +80,6 @@ func TestWritePromAllInstrumentKinds(t *testing.T) {
 	for name, want := range map[string]string{
 		"reskit_sim_trials":          "counter",
 		"reskit_engine_jobs_per_sec": "gauge",
-		"reskit_sim_saved_work":      "histogram",
 		"reskit_engine_ns_per_job":   "summary",
 	} {
 		if types[name] != want {
@@ -95,10 +89,6 @@ func TestWritePromAllInstrumentKinds(t *testing.T) {
 	for _, want := range []string{
 		"reskit_sim_trials 42",
 		"reskit_engine_jobs_per_sec 123.5",
-		// 5 non-NaN observations: under=1, in-range 3, over=1.
-		`reskit_sim_saved_work_bucket{le="+Inf"} 5`,
-		"reskit_sim_saved_work_count 5",
-		"reskit_sim_saved_work_nan 1",
 		`reskit_engine_ns_per_job{quantile="0.5"}`,
 		"reskit_engine_ns_per_job_count 100",
 		"reskit_engine_ns_per_job_min 0",
@@ -108,32 +98,6 @@ func TestWritePromAllInstrumentKinds(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestWritePromHistogramCumulative(t *testing.T) {
-	r := NewRegistry()
-	h := r.Hist("m", 0, 4, 4)
-	for _, x := range []float64{-3, 0.5, 1.5, 1.6, 3.9, 100} {
-		h.Observe(x)
-	}
-	var b strings.Builder
-	if err := r.WriteProm(&b, ""); err != nil {
-		t.Fatal(err)
-	}
-	// under=1 seeds every bucket; over=1 only reaches +Inf.
-	for _, want := range []string{
-		`m_bucket{le="1"} 2`,
-		`m_bucket{le="2"} 4`,
-		`m_bucket{le="3"} 4`,
-		`m_bucket{le="4"} 5`,
-		`m_bucket{le="+Inf"} 6`,
-		"m_count 6",
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("missing %q in:\n%s", want, b.String())
-		}
-	}
-	checkExposition(t, b.String())
 }
 
 func TestWritePromNameSanitization(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 
 // Quantiles tracks the distribution of a metric without a fixed layout:
 // it wraps a stats.QSketch behind a mutex, so parallel workers can
-// observe into it and a snapshot can be cut at any time. Unlike Hist it
-// needs no a-priori [lo, hi) range — the sketch adapts to whatever the
-// samples are — at the price of approximate (but tail-accurate)
-// quantiles and a lock per observation. All methods are no-ops on a nil
+// observe into it and a snapshot can be cut at any time. It needs no
+// a-priori [lo, hi) range — the sketch adapts to whatever the samples
+// are — at the price of approximate (but tail-accurate) quantiles and a
+// lock per observation. All methods are no-ops on a nil
 // *Quantiles, matching the other instruments.
 type Quantiles struct {
 	mu sync.Mutex

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -19,7 +18,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Hist
 	quants   map[string]*Quantiles
 }
 
@@ -28,7 +26,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Hist),
 		quants:   make(map[string]*Quantiles),
 	}
 }
@@ -77,32 +74,8 @@ func (r *Registry) RemoveGauge(name string) {
 	delete(r.gauges, name)
 }
 
-// Hist returns the named histogram, creating it with the given layout on
-// first use. The layout of an existing histogram is not changed, and
-// asking for a different layout under the same name panics — two
-// subsystems disagreeing about a metric's shape is a programming error.
-func (r *Registry) Hist(name string, lo, hi float64, buckets int) *Hist {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHist(lo, hi, buckets)
-		r.hists[name] = h
-		return h
-	}
-	if h.lo != lo || h.hi != hi || len(h.buckets) != buckets {
-		panic(fmt.Sprintf("obs: histogram %q re-registered with layout [%g, %g] x %d (have [%g, %g] x %d)",
-			name, lo, hi, buckets, h.lo, h.hi, len(h.buckets)))
-	}
-	return h
-}
-
 // Quantiles returns the named quantile sketch, creating it on first
-// use. Unlike Hist there is no layout to agree on: the sketch adapts to
-// the observed range.
+// use. The sketch needs no layout: it adapts to the observed range.
 func (r *Registry) Quantiles(name string) *Quantiles {
 	if r == nil {
 		return nil
@@ -123,7 +96,6 @@ func (r *Registry) Quantiles(name string) *Quantiles {
 type Snapshot struct {
 	Counters  map[string]int64             `json:"counters,omitempty"`
 	Gauges    map[string]float64           `json:"gauges,omitempty"`
-	Hists     map[string]HistSnapshot      `json:"histograms,omitempty"`
 	Quantiles map[string]QuantilesSnapshot `json:"quantiles,omitempty"`
 }
 
@@ -147,12 +119,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[n] = g.Value()
 		}
 	}
-	if len(r.hists) > 0 {
-		s.Hists = make(map[string]HistSnapshot, len(r.hists))
-		for n, h := range r.hists {
-			s.Hists[n] = h.Snapshot()
-		}
-	}
 	if len(r.quants) > 0 {
 		s.Quantiles = make(map[string]QuantilesSnapshot, len(r.quants))
 		for n, q := range r.quants {
@@ -170,14 +136,11 @@ func (r *Registry) Names() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.quants))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.quants))
 	for n := range r.counters {
 		names = append(names, n)
 	}
 	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
 		names = append(names, n)
 	}
 	for n := range r.quants {

@@ -42,99 +42,6 @@ func GoldenSection(f func(float64) float64, a, b, xtol float64) MaxResult {
 	return MaxResult{X: x, F: f(x)}
 }
 
-// BrentMax maximizes f on [a, b] using Brent's method (golden-section with
-// successive parabolic interpolation). Converges superlinearly on smooth
-// unimodal objectives such as the concave expected-work curves of
-// Section 3 of the paper.
-func BrentMax(f func(float64) float64, a, b, xtol float64) MaxResult {
-	if xtol <= 0 {
-		xtol = 1e-10
-	}
-	if a > b {
-		a, b = b, a
-	}
-	neg := func(x float64) float64 { return -f(x) }
-	x, fx := brentMinCore(neg, a, b, xtol)
-	return MaxResult{X: x, F: -fx}
-}
-
-// brentMinCore is the classical Brent minimizer on [a, b].
-func brentMinCore(f func(float64) float64, a, b, tol float64) (float64, float64) {
-	const cgold = 0.3819660112501051 // 2 - phi
-	var d, e float64
-	x := a + cgold*(b-a)
-	w, v := x, x
-	fx := f(x)
-	fw, fv := fx, fx
-	for iter := 0; iter < 200; iter++ {
-		xm := 0.5 * (a + b)
-		tol1 := tol*math.Abs(x) + 1e-15
-		tol2 := 2 * tol1
-		if math.Abs(x-xm) <= tol2-0.5*(b-a) {
-			return x, fx
-		}
-		useGolden := true
-		if math.Abs(e) > tol1 {
-			// Parabolic fit through x, v, w.
-			r := (x - w) * (fx - fv)
-			q := (x - v) * (fx - fw)
-			p := (x-v)*q - (x-w)*r
-			q = 2 * (q - r)
-			if q > 0 {
-				p = -p
-			}
-			q = math.Abs(q)
-			etmp := e
-			e = d
-			if math.Abs(p) < math.Abs(0.5*q*etmp) && p > q*(a-x) && p < q*(b-x) {
-				d = p / q
-				u := x + d
-				if u-a < tol2 || b-u < tol2 {
-					d = math.Copysign(tol1, xm-x)
-				}
-				useGolden = false
-			}
-		}
-		if useGolden {
-			if x >= xm {
-				e = a - x
-			} else {
-				e = b - x
-			}
-			d = cgold * e
-		}
-		var u float64
-		if math.Abs(d) >= tol1 {
-			u = x + d
-		} else {
-			u = x + math.Copysign(tol1, d)
-		}
-		fu := f(u)
-		if fu <= fx {
-			if u >= x {
-				a = x
-			} else {
-				b = x
-			}
-			v, w, x = w, x, u
-			fv, fw, fx = fw, fx, fu
-		} else {
-			if u < x {
-				a = u
-			} else {
-				b = u
-			}
-			if fu <= fw || w == x {
-				v, w = w, u
-				fv, fw = fw, fu
-			} else if fu <= fv || v == x || v == w {
-				v, fv = u, fu
-			}
-		}
-	}
-	return x, fx
-}
-
 // MaxGridRefine maximizes f on [a, b] by evaluating a uniform grid of n
 // points (n >= 3) and then running golden-section search on the bracket
 // around the best grid point. It does not require unimodality as long as

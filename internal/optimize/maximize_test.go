@@ -14,33 +14,6 @@ func TestGoldenSectionParabola(t *testing.T) {
 	}
 }
 
-func TestBrentMaxParabola(t *testing.T) {
-	f := func(x float64) float64 { return 5 - (x-1.7)*(x-1.7) }
-	r := BrentMax(f, -10, 10, 1e-12)
-	if math.Abs(r.X-1.7) > 1e-7 || math.Abs(r.F-5) > 1e-12 {
-		t.Errorf("got X=%.12g F=%.12g", r.X, r.F)
-	}
-}
-
-func TestBrentMaxSinc(t *testing.T) {
-	// Maximum of sin(x)/x on [0.1, 6] is at x->0.1 end? No: sinc is
-	// decreasing on (0, pi), so the max on [0.1, 6] is at 0.1.
-	f := func(x float64) float64 { return math.Sin(x) / x }
-	r := BrentMax(f, 0.1, 6, 1e-12)
-	if math.Abs(r.X-0.1) > 1e-4 {
-		t.Errorf("boundary max missed: X=%.12g", r.X)
-	}
-}
-
-func TestBrentMaxLogConcave(t *testing.T) {
-	// x * exp(-x) has its max at x=1.
-	f := func(x float64) float64 { return x * math.Exp(-x) }
-	r := BrentMax(f, 0, 30, 1e-12)
-	if math.Abs(r.X-1) > 1e-6 || math.Abs(r.F-math.Exp(-1)) > 1e-12 {
-		t.Errorf("got X=%.12g F=%.12g", r.X, r.F)
-	}
-}
-
 func TestMaxGridRefineMultimodal(t *testing.T) {
 	// Two peaks; the global one at x=7 is narrower but taller.
 	f := func(x float64) float64 {
@@ -58,21 +31,16 @@ func TestMaxReversedInterval(t *testing.T) {
 	if math.Abs(r.X-1) > 1e-6 {
 		t.Errorf("reversed interval: X=%.12g", r.X)
 	}
-	r = BrentMax(f, 5, -5, 1e-10)
-	if math.Abs(r.X-1) > 1e-6 {
-		t.Errorf("reversed interval BrentMax: X=%.12g", r.X)
-	}
 }
 
-func TestGoldenVsBrentProperty(t *testing.T) {
-	// Random concave quadratics: both maximizers must agree on argmax.
+func TestGoldenSectionProperty(t *testing.T) {
+	// Random concave quadratics: the maximizer must find the vertex.
 	prop := func(uc, ua float64) bool {
 		c := math.Mod(uc, 50)
 		amp := 0.1 + math.Abs(math.Mod(ua, 10))
 		f := func(x float64) float64 { return -amp * (x - c) * (x - c) }
 		g := GoldenSection(f, c-60, c+40, 1e-11)
-		b := BrentMax(f, c-60, c+40, 1e-11)
-		return math.Abs(g.X-c) < 1e-5 && math.Abs(b.X-c) < 1e-5
+		return math.Abs(g.X-c) < 1e-5
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

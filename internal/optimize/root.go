@@ -208,57 +208,3 @@ func Brent(f func(float64) float64, a, b, xtol float64) (float64, error) {
 	}
 	return b, &ConvergenceError{Method: "brent", Best: b, Iters: 200, Reason: ErrMaxIterations}
 }
-
-// NewtonSafe finds a root of f in the bracket [a, b] using Newton steps
-// from derivative df, falling back to bisection whenever a step leaves the
-// bracket or the derivative degenerates. f(a) and f(b) must have opposite
-// signs.
-func NewtonSafe(f, df func(float64) float64, a, b, xtol float64) (float64, error) {
-	if xtol <= 0 {
-		xtol = defaultXTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.IsNaN(fa) || math.IsNaN(fb) {
-		return math.NaN(), &ConvergenceError{Method: "newton", Best: math.NaN(), Reason: ErrNonFinite}
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return math.NaN(), ErrNoBracket
-	}
-	x := 0.5 * (a + b)
-	for i := 0; i < 200; i++ {
-		fx, ok := evalFinite(f, x, a, b)
-		if !ok {
-			return x, &ConvergenceError{Method: "newton", Best: x, Iters: i, Reason: ErrNonFinite}
-		}
-		if fx == 0 {
-			return x, nil
-		}
-		if math.Signbit(fx) == math.Signbit(fa) {
-			a, fa = x, fx
-		} else {
-			b = x
-		}
-		if b-a <= xtol {
-			return 0.5 * (a + b), nil
-		}
-		dfx := df(x)
-		xn := x - fx/dfx
-		// A degenerate, non-finite, or out-of-bracket Newton step falls
-		// back to bisection of the maintained bracket, so divergence to
-		// NaN is impossible: the iterate always stays inside [a, b].
-		if !(xn > a && xn < b) || dfx == 0 || math.IsNaN(dfx) || math.IsNaN(xn) {
-			xn = 0.5 * (a + b)
-		}
-		if math.Abs(xn-x) <= xtol*(1+math.Abs(x)) {
-			return xn, nil
-		}
-		x = xn
-	}
-	return x, &ConvergenceError{Method: "newton", Best: x, Iters: 200, Reason: ErrMaxIterations}
-}

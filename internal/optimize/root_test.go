@@ -68,18 +68,6 @@ func TestBrentRoot(t *testing.T) {
 	}
 }
 
-func TestNewtonSafe(t *testing.T) {
-	for _, c := range rootCases() {
-		x, err := NewtonSafe(c.f, c.df, c.a, c.b, 1e-13)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if math.Abs(x-c.want) > 1e-7 {
-			t.Errorf("%s: got %.15g want %.15g", c.name, x, c.want)
-		}
-	}
-}
-
 func TestRootNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return x*x + 1 }
 	if _, err := Bisect(f, -1, 1, 0); !errors.Is(err, ErrNoBracket) {
@@ -87,9 +75,6 @@ func TestRootNoBracket(t *testing.T) {
 	}
 	if _, err := Brent(f, -1, 1, 0); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("Brent: want ErrNoBracket, got %v", err)
-	}
-	if _, err := NewtonSafe(f, func(x float64) float64 { return 2 * x }, -1, 1, 0); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("NewtonSafe: want ErrNoBracket, got %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package quad
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -55,20 +54,6 @@ func TestKronrodBatchReversedAndEmpty(t *testing.T) {
 	}
 }
 
-func TestGaussLegendreBatchMatchesScalar(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 2*x + math.Sin(x) }
-	for _, n := range []int{1, 2, 5, 16, 64} {
-		scalar := GaussLegendre(f, -1.5, 2.5, n)
-		batch := GaussLegendreBatch(batchOf(f), -1.5, 2.5, n)
-		if scalar != batch {
-			t.Errorf("n=%d: batch %g differs from scalar %g", n, batch, scalar)
-		}
-	}
-	if v := GaussLegendreBatch(batchOf(f), 3, 3, 8); v != 0 {
-		t.Errorf("empty interval: %g", v)
-	}
-}
-
 // TestKronrodBatchZeroAllocSteadyState asserts the pooled workspace makes
 // repeated integration allocation-free after warm-up (the acceptance
 // criterion measured by BenchmarkKronrodBatchPanel).
@@ -84,51 +69,6 @@ func TestKronrodBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state KronrodBatch allocates %.2f objects/op, want 0", allocs)
-	}
-}
-
-func TestGaussLegendreBatchZeroAllocSteadyState(t *testing.T) {
-	f := BatchFunc(func(xs, out []float64) {
-		for i, x := range xs {
-			out[i] = math.Sin(x)
-		}
-	})
-	GaussLegendreBatch(f, 0, 2, 32) // warm pool and rule cache
-	allocs := testing.AllocsPerRun(200, func() {
-		GaussLegendreBatch(f, 0, 2, 32)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state GaussLegendreBatch allocates %.2f objects/op, want 0", allocs)
-	}
-}
-
-// TestLegendreCacheConcurrent hammers the copy-on-write rule cache from
-// many goroutines; run under -race this proves lookups don't serialize
-// on a mutex yet stay safe.
-func TestLegendreCacheConcurrent(t *testing.T) {
-	orders := []int{3, 7, 15, 21, 33, 48, 64, 100}
-	var wg sync.WaitGroup
-	rules := make([][]*legendreRule, 16)
-	for g := 0; g < 16; g++ {
-		g := g
-		rules[g] = make([]*legendreRule, len(orders))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 50; rep++ {
-				for i, n := range orders {
-					rules[g][i] = legendre(n)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for g := 1; g < 16; g++ {
-		for i := range orders {
-			if rules[g][i] != rules[0][i] {
-				t.Fatalf("goroutines observed different cached rules for n=%d", orders[i])
-			}
-		}
 	}
 }
 

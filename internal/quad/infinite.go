@@ -21,55 +21,3 @@ func SemiInfinite(f func(float64) float64, a, absTol, relTol float64) Result {
 	}
 	return Kronrod(g, 0, 1, absTol, relTol)
 }
-
-// WholeLine integrates f over (-inf, +inf) by the substitution
-// x = t/(1-t^2), t in (-1, 1); dx = (1+t^2)/(1-t^2)^2 dt.
-func WholeLine(f func(float64) float64, absTol, relTol float64) Result {
-	g := func(t float64) float64 {
-		om := 1 - t*t
-		if om <= 0 {
-			return 0
-		}
-		x := t / om
-		v := f(x)
-		if v == 0 || math.IsNaN(v) {
-			return 0
-		}
-		return v * (1 + t*t) / (om * om)
-	}
-	return Kronrod(g, -1, 1, absTol, relTol)
-}
-
-// SumToTolerance sums f(k0) + f(k0+1) + ... stopping once `patience`
-// consecutive terms contribute less than tol relative to the running sum,
-// or after maxTerms terms. It implements the tail cutoff used for Poisson
-// expectations where the summand eventually decays super-geometrically.
-func SumToTolerance(f func(int) float64, k0 int, tol float64, patience, maxTerms int) float64 {
-	if tol <= 0 {
-		tol = 1e-15
-	}
-	if patience <= 0 {
-		patience = 5
-	}
-	if maxTerms <= 0 {
-		maxTerms = 1 << 20
-	}
-	var sum float64
-	quiet := 0
-	for i := 0; i < maxTerms; i++ {
-		term := f(k0 + i)
-		if math.IsNaN(term) {
-			term = 0
-		}
-		sum += term
-		if math.Abs(term) <= tol*(1+math.Abs(sum)) {
-			quiet++
-			if quiet >= patience {
-				break
-			}
-		} else {
-			quiet = 0
-		}
-	}
-	return sum
-}

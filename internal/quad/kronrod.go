@@ -61,28 +61,10 @@ var kronrodPool = sync.Pool{
 	},
 }
 
-// gk15Batch applies the 7-15 pair to f on [a, b] with one batched call
-// covering all 15 nodes, and returns the Kronrod estimate and an error
-// estimate following the QUADPACK heuristic.
-func gk15Batch(f BatchFunc, a, b float64, ws *kronrodWS) (value, errEst float64) {
-	mid := 0.5 * (a + b)
-	half := 0.5 * (b - a)
-
-	// Node layout mirrors the fv indexing: xs[i] descends from a for
-	// i < 7, xs[7] is the center, xs[14-i] ascends toward b.
-	for i, x := range gk15Nodes {
-		ws.xs[i] = mid - half*x
-		if i < 7 {
-			ws.xs[14-i] = mid + half*x
-		}
-	}
-	f(ws.xs[:], ws.fv[:])
-	value, errEst, _ = gk15FromValues(&ws.fv, half)
-	return value, errEst
-}
-
-// gk15BatchCounted is gk15Batch reporting how many node values were
-// non-finite and sanitized to 0.
+// gk15BatchCounted applies the 7-15 pair to f on [a, b] with one
+// batched call covering all 15 nodes. It returns the Kronrod estimate,
+// an error estimate following the QUADPACK heuristic, and how many node
+// values were non-finite and sanitized to 0.
 func gk15BatchCounted(f BatchFunc, a, b float64, ws *kronrodWS) (value, errEst float64, bad int) {
 	mid := 0.5 * (a + b)
 	half := 0.5 * (b - a)

@@ -13,7 +13,7 @@ type Result struct {
 	NumEvals int     // integrand evaluations performed
 	BadEvals int     // non-finite integrand values sanitized to 0
 	// Converged reports that the driver met its error tolerance (rather
-	// than exhausting its subdivision or level budget).
+	// than exhausting its subdivision or recursion budget).
 	Converged bool
 }
 

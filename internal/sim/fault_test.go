@@ -30,24 +30,6 @@ func faultyCampaignConfig(p *fault.Plan) CampaignConfig {
 	}
 }
 
-func TestRunLegacyFailureRateMatchesCrashPlan(t *testing.T) {
-	// The legacy FailureRate path and an ExpArrival crash plan draw the
-	// same variates at the same trajectory points, so for a fixed stream
-	// the two runs must be bit-identical — the fault layer generalizes
-	// FailureRate without disturbing it.
-	legacy := fig8Config(strategy.NewWorkThreshold(20))
-	legacy.FailureRate = 0.05
-	planned := fig8Config(strategy.NewWorkThreshold(20))
-	planned.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: 0.05}}
-	for stream := uint64(0); stream < 50; stream++ {
-		a := Run(legacy, rng.NewStream(9, stream))
-		b := Run(planned, rng.NewStream(9, stream))
-		if a != b {
-			t.Fatalf("stream %d: FailureRate run %+v != crash-plan run %+v", stream, a, b)
-		}
-	}
-}
-
 func TestRunCkptFailureNeverCommits(t *testing.T) {
 	// With every commit failing, no work is ever saved; the attempts
 	// consume time and are counted in CkptFaults.
@@ -244,18 +226,14 @@ func TestConfigValidateErrors(t *testing.T) {
 		func(c *Config) { c.R = math.Inf(1) },
 		func(c *Config) { c.Recovery = -1 },
 		func(c *Config) { c.Recovery = math.NaN() },
-		func(c *Config) { c.FailureRate = -0.5 },
-		func(c *Config) { c.FailureRate = math.Inf(1) },
+		func(c *Config) { c.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: -0.5}} },
+		func(c *Config) { c.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: math.Inf(1)}} },
 		func(c *Config) { c.Task = nil },
 		func(c *Config) { c.TaskDisc = dist.NewPoisson(3) }, // both task laws set
 		func(c *Config) { c.Ckpt = nil },
 		func(c *Config) { c.Strategy = nil },
 		func(c *Config) { c.MaxTasks = -1 },
 		func(c *Config) { c.Faults = &fault.Plan{Ckpt: fault.CkptBernoulli{P: 2}} },
-		func(c *Config) {
-			c.FailureRate = 0.1
-			c.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: 0.1}}
-		},
 	}
 	for i, m := range mutate {
 		c := fig8Config(strategy.NewWorkThreshold(20))

@@ -29,10 +29,6 @@ type Observer struct {
 	// SavedQ sketches the distribution of per-reservation saved work
 	// without a fixed layout (quantiles adapt to the observed range).
 	SavedQ *obs.Quantiles
-	// SavedWork is the legacy fixed-layout [0, savedMax) histogram of
-	// the same metric, kept one release behind the -hist flag; SavedQ is
-	// the supported distribution instrument.
-	SavedWork *obs.Hist
 
 	// Trace, when non-nil, receives the event stream of sampled trials:
 	// task-end, checkpoint-start, commit, fault and revocation events
@@ -50,13 +46,11 @@ type Observer struct {
 }
 
 // NewObserver binds the canonical instrument set on reg under the "sim."
-// prefix. The saved-work distribution is always tracked by the
-// "sim.saved_work" quantile sketch; the legacy fixed-layout histogram of
-// the same name is additionally bound only when savedMax > 0 (the CLI
-// maps the -hist flag onto it). A nil registry yields an Observer whose
-// instruments are all nil (still usable, still free); callers wanting
-// tracing or progress set those fields afterwards.
-func NewObserver(reg *obs.Registry, savedMax float64) *Observer {
+// prefix, with the saved-work distribution in the "sim.saved_work"
+// quantile sketch. A nil registry yields an Observer whose instruments
+// are all nil (still usable, still free); callers wanting tracing or
+// progress set those fields afterwards.
+func NewObserver(reg *obs.Registry) *Observer {
 	o := &Observer{
 		Trials:      reg.Counter("sim.trials"),
 		Blocks:      reg.Counter("sim.blocks"),
@@ -71,9 +65,6 @@ func NewObserver(reg *obs.Registry, savedMax float64) *Observer {
 	}
 	if reg != nil {
 		o.SavedQ = reg.Quantiles("sim.saved_work")
-	}
-	if reg != nil && savedMax > 0 {
-		o.SavedWork = reg.Hist("sim.saved_work", 0, savedMax, 20)
 	}
 	return o
 }
@@ -98,7 +89,6 @@ func (o *Observer) record(res RunResult) {
 		o.ZeroRuns.Inc()
 	}
 	o.SavedQ.Observe(res.Saved)
-	o.SavedWork.Observe(res.Saved)
 }
 
 // tracer returns the sink receiving this trial's events, or nil when the

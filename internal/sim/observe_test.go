@@ -22,7 +22,7 @@ import (
 // prove observability cannot perturb results.
 func fullObserver(reg *obs.Registry, every int64, total int64) (*Observer, *obs.Collector) {
 	col := &obs.Collector{}
-	o := NewObserver(reg, 30)
+	o := NewObserver(reg)
 	o.Trace = col
 	o.TraceEvery = every
 	o.Progress = obs.NewProgress(io.Discard, "test", total, time.Hour)
@@ -132,8 +132,8 @@ func TestObserverCountersMatchAggregate(t *testing.T) {
 	if ob.Blocks.Value() != wantBlocks {
 		t.Errorf("sim.blocks = %d, want %d", ob.Blocks.Value(), wantBlocks)
 	}
-	if n := ob.SavedWork.Snapshot().Count; n != agg.Trials {
-		t.Errorf("saved-work histogram observed %d values, want %d", n, agg.Trials)
+	if n := ob.SavedQ.Snapshot().Count; n != agg.Trials {
+		t.Errorf("saved-work sketch observed %d values, want %d", n, agg.Trials)
 	}
 }
 
@@ -251,7 +251,7 @@ func TestCancelledCampaignCountsOnlyCompletedBlocks(t *testing.T) {
 	cfg := faultyCampaignConfig(nil)
 	// About ten blocks' worth of decisions at two workers, then cancel.
 	cfg.Reservation.Strategy = &cancelOnDecision{Strategy: cfg.Reservation.Strategy, n: 20_000, cancel: cancel}
-	ob := NewObserver(obs.NewRegistry(), 0)
+	ob := NewObserver(obs.NewRegistry())
 	cfg.Reservation.Obs = ob
 	agg, err := MonteCarloCampaignContext(ctx, cfg, 1_000_000, 3, 2)
 	if !errors.Is(err, context.Canceled) {

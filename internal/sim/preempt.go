@@ -24,18 +24,6 @@ func (a PreemptibleAggregate) SuccessRate() float64 {
 	return float64(a.Successes) / float64(a.Trials)
 }
 
-// RunPreemptibleOnce simulates one reservation of the preemptible
-// scenario with the checkpoint started x seconds before the end: it
-// samples the checkpoint duration C and returns R - x when C <= x, and 0
-// otherwise — the realized W(X) of Section 3.1.
-func RunPreemptibleOnce(p *core.Preemptible, x float64, r *rng.Source) float64 {
-	c := p.C.Sample(r)
-	if c <= x && x <= p.R {
-		return p.R - x
-	}
-	return 0
-}
-
 // MonteCarloPreemptible estimates E(W(X)) by simulation: `trials`
 // independent reservations with the checkpoint started x before the end,
 // in fixed blocks on their own substreams of seed, run by `workers`

@@ -71,20 +71,15 @@ type Config struct {
 	// the checkpoint itself, restoring state takes a variable time.
 	RecoveryLaw dist.Continuous
 
-	// FailureRate, when positive, injects fail-stop errors inside the
-	// reservation with exponential inter-arrival times of this rate —
-	// the paper's Section 5 future-work direction. A failure wipes the
-	// uncommitted work; the job then pays a recovery (Recovery or
-	// RecoveryLaw) to reload its last committed checkpoint and continues
-	// inside the same reservation. Zero keeps the paper's failure-free
-	// model. Exclusive with Faults.Crash, which generalizes it.
-	FailureRate float64
-
 	// Faults, when non-nil, injects the bundled fault models of
-	// internal/fault: crash arrivals (generalizing FailureRate to
-	// Weibull gaps), per-attempt checkpoint failures that consume time
-	// but commit nothing, and early reservation revocation. Strategies
-	// are never told the revocation instant — they observe the nominal R.
+	// internal/fault — the paper's Section 5 future-work direction:
+	// fail-stop crash arrivals (Exponential or Weibull gaps), per-attempt
+	// checkpoint failures that consume time but commit nothing, and
+	// early reservation revocation. A crash wipes the uncommitted work;
+	// the job then pays a recovery (Recovery or RecoveryLaw) to reload
+	// its last committed checkpoint and continues inside the same
+	// reservation. Strategies are never told the revocation instant —
+	// they observe the nominal R.
 	Faults *fault.Plan
 
 	// Obs, when non-nil, streams per-run counters, sampled trace events
@@ -101,8 +96,8 @@ type Config struct {
 }
 
 // Validate checks the configuration and returns a descriptive error for
-// non-finite or out-of-range parameters, missing laws, or conflicting
-// fault settings. Run panics on invalid configurations; call Validate
+// non-finite or out-of-range parameters, missing laws, or invalid fault
+// models. Run panics on invalid configurations; call Validate
 // first when the configuration comes from untrusted input (CLI flags,
 // config files).
 func (c *Config) Validate() error {
@@ -117,9 +112,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sim: RecoveryLaw support must start at >= 0, got %g", lo)
 		}
 	}
-	if !(c.FailureRate >= 0) || math.IsInf(c.FailureRate, 0) {
-		return fmt.Errorf("sim: FailureRate must be finite and >= 0, got %g", c.FailureRate)
-	}
 	if (c.Task == nil) == (c.TaskDisc == nil) {
 		return fmt.Errorf("sim: exactly one of Task and TaskDisc must be set")
 	}
@@ -132,13 +124,7 @@ func (c *Config) Validate() error {
 	if c.MaxTasks < 0 {
 		return fmt.Errorf("sim: MaxTasks must be >= 0, got %d", c.MaxTasks)
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	if c.FailureRate > 0 && c.Faults.Active() && c.Faults.Crash != nil {
-		return fmt.Errorf("sim: FailureRate and Faults.Crash are exclusive crash processes; set one")
-	}
-	return nil
+	return c.Faults.Validate()
 }
 
 // validate panics on structurally invalid configurations.
@@ -266,14 +252,13 @@ func runOne(cfg *Config, r *rng.Source, taskCap int, first bool) RunResult {
 
 	// Pre-sample the next fail-stop instant (infinity when crash-free).
 	nextFail := math.Inf(1)
-	if cfg.FailureRate > 0 {
-		nextFail = elapsed + r.Exponential(cfg.FailureRate)
-	} else if plan != nil && plan.Crash != nil {
+	if plan != nil && plan.Crash != nil {
 		nextFail = elapsed + plan.Crash.Next(r)
 	}
 	// fail handles one fail-stop error at time t: the uncommitted work
 	// is wiped and the job restarts from its last committed checkpoint
 	// after a recovery. It returns false when the reservation is over.
+	// Only a drawn crash makes nextFail finite, so plan.Crash is set.
 	fail := func(t float64) bool {
 		res.Failures++
 		if tr != nil {
@@ -284,11 +269,7 @@ func runOne(cfg *Config, r *rng.Source, taskCap int, first bool) RunResult {
 		tasksSinceCkpt = 0
 		attemptsSinceCommit = 0
 		elapsed = t + cfg.sampleRecovery(r, first)
-		if cfg.FailureRate > 0 {
-			nextFail = elapsed + r.Exponential(cfg.FailureRate)
-		} else if plan != nil && plan.Crash != nil {
-			nextFail = elapsed + plan.Crash.Next(r)
-		}
+		nextFail = elapsed + plan.Crash.Next(r)
 		return elapsed < horizon
 	}
 
@@ -401,7 +382,7 @@ func runOne(cfg *Config, r *rng.Source, taskCap int, first bool) RunResult {
 }
 
 // RunOracle simulates a clairvoyant scheduler for the same trajectory
-// model (failure-free: FailureRate and Faults are ignored, keeping the
+// model (failure-free: Faults is ignored, keeping the
 // oracle an upper bound for the paper's model): it pre-samples the task
 // durations and, for every boundary, the checkpoint duration that a
 // checkpoint started there would take, then commits at the boundary

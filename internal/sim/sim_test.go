@@ -6,6 +6,7 @@ import (
 
 	"reskit/internal/core"
 	"reskit/internal/dist"
+	"reskit/internal/fault"
 	"reskit/internal/rng"
 	"reskit/internal/strategy"
 )
@@ -441,13 +442,13 @@ func TestStochasticRecoveryMatchesFixedWhenDegenerate(t *testing.T) {
 func TestFailureInjection(t *testing.T) {
 	// High failure rate: runs must record failures and lose work.
 	cfg := Config{
-		R:           100,
-		Task:        dist.Truncate(dist.NewNormal(3, 0.5), 0, math.Inf(1)),
-		Ckpt:        dist.Truncate(dist.NewNormal(2, 0.3), 0, math.Inf(1)),
-		Strategy:    strategy.NewPeriodic(15),
-		After:       ContinueExecution,
-		Recovery:    0.5,
-		FailureRate: 1.0 / 20, // MTBF 20
+		R:        100,
+		Task:     dist.Truncate(dist.NewNormal(3, 0.5), 0, math.Inf(1)),
+		Ckpt:     dist.Truncate(dist.NewNormal(2, 0.3), 0, math.Inf(1)),
+		Strategy: strategy.NewPeriodic(15),
+		After:    ContinueExecution,
+		Recovery: 0.5,
+		Faults:   &fault.Plan{Crash: fault.ExpArrival{Rate: 1.0 / 20}}, // MTBF 20
 	}
 	agg := MonteCarlo(cfg, 20000, 12, 0)
 	if agg.Saved.Mean() <= 0 {
@@ -455,7 +456,7 @@ func TestFailureInjection(t *testing.T) {
 	}
 	// Failure-free baseline must save strictly more.
 	noFail := cfg
-	noFail.FailureRate = 0
+	noFail.Faults = nil
 	aggNF := MonteCarlo(noFail, 20000, 12, 0)
 	if aggNF.Saved.Mean() <= agg.Saved.Mean() {
 		t.Errorf("failures should reduce saved work: %g vs %g",
@@ -489,7 +490,9 @@ func TestYoungDalyBeatsEndOnlyUnderFailures(t *testing.T) {
 	mk := func(s strategy.Strategy, failRate float64) Config {
 		c := base
 		c.Strategy = s
-		c.FailureRate = failRate
+		if failRate > 0 {
+			c.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: failRate}}
+		}
 		return c
 	}
 	yd := strategy.NewYoungDaly(mtbf, ckpt.Mean())
@@ -529,7 +532,7 @@ func TestRunInvariantsProperty(t *testing.T) {
 			After:    AfterPolicy(trial % 2),
 		}
 		if trial%4 == 0 {
-			cfg.FailureRate = 0.05
+			cfg.Faults = &fault.Plan{Crash: fault.ExpArrival{Rate: 0.05}}
 		}
 		res := Run(cfg, src)
 		if res.TimeUsed > cfg.R+1e-9 {

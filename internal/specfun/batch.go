@@ -11,10 +11,9 @@ import "math"
 // corresponding out element is written, and lockstep lanes operate on
 // copies.
 //
-// The speedup comes from hoisting per-shape work out of the per-point
-// loop — lnGamma(a) for the incomplete gamma, LogBeta(a, b) for the
-// incomplete beta — and from running the gamma power-series inner loop
-// four points at a time so the independent divide/multiply chains
+// The speedup comes from hoisting per-shape work — lnGamma(a) for the
+// incomplete gamma — out of the per-point loop, and from running the
+// gamma power-series inner loop four points at a time so the independent divide/multiply chains
 // overlap in the pipeline. The lockstep lanes execute exactly the scalar
 // operation sequence per lane (including the del *= x/ap division and
 // the per-lane termination test), which is what keeps them bit-identical.
@@ -34,37 +33,17 @@ func NormCDFBatch(xs, out []float64) {
 	}
 }
 
-// NormSFBatch writes 1 - Phi(xs[i]) into out[i] with full relative
-// accuracy in the right tail.
-func NormSFBatch(xs, out []float64) {
-	for i, x := range xs {
-		out[i] = 0.5 * math.Erfc(x*invSqrt2)
-	}
-}
-
 // seriesLanes is the lockstep width of the gamma power-series kernel.
 // Four independent del *= x/ap chains are enough to cover the divider
 // latency on current cores; wider would spill the lane state.
 const seriesLanes = 4
 
 // GammaIncPBatch writes P(a, xs[i]) into out[i]. lnGamma(a) is computed
-// once, and series-branch points are evaluated in lockstep lanes.
+// once; points on the continued-fraction branch (x >= a+1) and special
+// cases are resolved as they are scanned, and series-branch points
+// accumulate into lanes that run in lockstep once a group fills (or at
+// end of input).
 func GammaIncPBatch(a float64, xs, out []float64) {
-	gammaIncBatch(a, xs, out, false)
-}
-
-// GammaIncQBatch writes Q(a, xs[i]) = 1 - P(a, xs[i]) into out[i],
-// computed without cancellation in either tail.
-func GammaIncQBatch(a float64, xs, out []float64) {
-	gammaIncBatch(a, xs, out, true)
-}
-
-// gammaIncBatch is the shared engine of GammaIncPBatch / GammaIncQBatch.
-// upper selects Q instead of P. Points on the continued-fraction branch
-// (x >= a+1) and special cases are resolved as they are scanned;
-// series-branch points accumulate into lanes and run in lockstep once a
-// group fills (or at end of input).
-func gammaIncBatch(a float64, xs, out []float64, upper bool) {
 	if math.IsNaN(a) || a <= 0 {
 		for i := range xs {
 			out[i] = math.NaN()
@@ -87,11 +66,7 @@ func gammaIncBatch(a float64, xs, out []float64, upper bool) {
 		}
 		for j := 0; j < k; j++ {
 			x := lx[j]
-			p := Clamp01(sums[j] * math.Exp(a*math.Log(x)-x-lg))
-			if upper {
-				p = 1 - p
-			}
-			out[lane[j]] = p
+			out[lane[j]] = Clamp01(sums[j] * math.Exp(a*math.Log(x)-x-lg))
 		}
 		k = 0
 	}
@@ -100,24 +75,11 @@ func gammaIncBatch(a float64, xs, out []float64, upper bool) {
 		case math.IsNaN(x) || x < 0:
 			out[i] = math.NaN()
 		case x == 0:
-			if upper {
-				out[i] = 1
-			} else {
-				out[i] = 0
-			}
+			out[i] = 0
 		case math.IsInf(x, 1):
-			if upper {
-				out[i] = 0
-			} else {
-				out[i] = 1
-			}
+			out[i] = 1
 		case x >= a+1:
-			q := Clamp01(gammaQCF(a, x) * math.Exp(a*math.Log(x)-x-lg))
-			if upper {
-				out[i] = q
-			} else {
-				out[i] = 1 - q
-			}
+			out[i] = 1 - Clamp01(gammaQCF(a, x)*math.Exp(a*math.Log(x)-x-lg))
 		default:
 			lane[k] = i
 			lx[k] = x
@@ -159,37 +121,6 @@ func gammaPSeriesSumLanes(a float64, lx *[seriesLanes]float64, sums *[seriesLane
 			if math.Abs(del[j]) < math.Abs(sums[j])*1e-17 {
 				done[j] = true
 				live--
-			}
-		}
-	}
-}
-
-// BetaIncRegBatch writes I_x(a, b) at each xs[i] into out[i], hoisting
-// the three-Lgamma LogBeta(a, b) term and the branch threshold out of
-// the per-point loop.
-func BetaIncRegBatch(a, b float64, xs, out []float64) {
-	if math.IsNaN(a) || math.IsNaN(b) || a <= 0 || b <= 0 {
-		for i := range xs {
-			out[i] = math.NaN()
-		}
-		return
-	}
-	logB := LogBeta(a, b)
-	thresh := (a + 1) / (a + b + 2)
-	for i, x := range xs {
-		switch {
-		case math.IsNaN(x) || x < 0 || x > 1:
-			out[i] = math.NaN()
-		case x == 0:
-			out[i] = 0
-		case x == 1:
-			out[i] = 1
-		default:
-			logPre := a*math.Log(x) + b*math.Log1p(-x) - logB
-			if x < thresh {
-				out[i] = Clamp01(math.Exp(logPre) * betaCF(a, b, x) / a)
-			} else {
-				out[i] = Clamp01(1 - math.Exp(logPre)*betaCF(b, a, 1-x)/b)
 			}
 		}
 	}

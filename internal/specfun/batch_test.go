@@ -41,19 +41,14 @@ func TestNormBatchMatchesScalarBitwise(t *testing.T) {
 	xs := append(denseGrid(-40, 40, 4001), batchEdgeXs...)
 	pdf := make([]float64, len(xs))
 	cdf := make([]float64, len(xs))
-	sf := make([]float64, len(xs))
 	NormPDFBatch(xs, pdf)
 	NormCDFBatch(xs, cdf)
-	NormSFBatch(xs, sf)
 	for i, x := range xs {
 		if want := NormPDF(x); !sameBits(pdf[i], want) {
 			t.Errorf("NormPDFBatch(%g) = %x, scalar %x", x, pdf[i], want)
 		}
 		if want := NormCDF(x); !sameBits(cdf[i], want) {
 			t.Errorf("NormCDFBatch(%g) = %x, scalar %x", x, cdf[i], want)
-		}
-		if want := NormSF(x); !sameBits(sf[i], want) {
-			t.Errorf("NormSFBatch(%g) = %x, scalar %x", x, sf[i], want)
 		}
 	}
 }
@@ -66,15 +61,10 @@ func TestGammaIncBatchMatchesScalarBitwise(t *testing.T) {
 		// grouping with partial flushes between CF-branch points.
 		xs := append(denseGrid(1e-9, 4*(a+2), 2003), batchEdgeXs...)
 		outP := make([]float64, len(xs))
-		outQ := make([]float64, len(xs))
 		GammaIncPBatch(a, xs, outP)
-		GammaIncQBatch(a, xs, outQ)
 		for i, x := range xs {
 			if want := GammaIncP(a, x); !sameBits(outP[i], want) {
 				t.Errorf("GammaIncPBatch(%g, %g) = %x, scalar %x", a, x, outP[i], want)
-			}
-			if want := GammaIncQ(a, x); !sameBits(outQ[i], want) {
-				t.Errorf("GammaIncQBatch(%g, %g) = %x, scalar %x", a, x, outQ[i], want)
 			}
 		}
 	}
@@ -131,25 +121,6 @@ func TestGammaIncBatchClosedForms(t *testing.T) {
 	check(1, func(x float64) float64 { return -math.Expm1(-x) })
 	check(2, func(x float64) float64 { return 1 - (1+x)*math.Exp(-x) })
 	check(0.5, func(x float64) float64 { return math.Erf(math.Sqrt(x)) })
-}
-
-func TestBetaIncRegBatchMatchesScalarBitwise(t *testing.T) {
-	pairs := [][2]float64{{0.5, 0.5}, {1, 1}, {2, 5}, {2.5, 3.5}, {40, 2}, {120.5, 77.25}}
-	xs := append(denseGrid(0, 1, 2001), batchEdgeXs...)
-	out := make([]float64, len(xs))
-	for _, ab := range pairs {
-		a, b := ab[0], ab[1]
-		BetaIncRegBatch(a, b, xs, out)
-		for i, x := range xs {
-			if want := BetaIncReg(a, b, x); !sameBits(out[i], want) {
-				t.Errorf("BetaIncRegBatch(%g, %g, %g) = %x, scalar %x", a, b, x, out[i], want)
-			}
-		}
-	}
-	BetaIncRegBatch(-1, 2, []float64{0.5}, out[:1])
-	if !math.IsNaN(out[0]) {
-		t.Errorf("BetaIncRegBatch(a=-1) = %g, want NaN", out[0])
-	}
 }
 
 // TestGammaIncPInvRoundTripAfterFusion guards the fused Newton loop in

@@ -49,18 +49,6 @@ func BenchmarkLogNormCDF(b *testing.B) {
 	}
 }
 
-func BenchmarkLogNormSF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = LogNormSF(3)
-	}
-}
-
-func BenchmarkNormCDFInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = NormCDFInterval(1, 2)
-	}
-}
-
 // normQuantilePanel maps 1024 evenly spread points u in (0, 1) (a
 // golden-ratio sequence) through f into a panel of probabilities.
 func normQuantilePanel(f func(i int, u float64) float64) []float64 {
@@ -188,12 +176,6 @@ func BenchmarkLambertW0(b *testing.B) {
 	}
 }
 
-func BenchmarkLogSumExp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = LogSumExp(-3, -4)
-	}
-}
-
 func BenchmarkLog1mExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = Log1mExp(-0.5)
@@ -226,22 +208,6 @@ func BenchmarkGammaIncPScalarLoop(b *testing.B) {
 	b.ReportMetric(float64(len(benchGrid)), "points/op")
 }
 
-func BenchmarkBetaIncRegScalarLoop(b *testing.B) {
-	xs := make([]float64, len(benchGrid))
-	out := make([]float64, len(benchGrid))
-	for i := range xs {
-		xs[i] = float64(i+1) / float64(len(xs)+1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, x := range xs {
-			out[j] = BetaIncReg(2.5, 3.5, x)
-		}
-	}
-	sink = out[0]
-	b.ReportMetric(float64(len(benchGrid)), "points/op")
-}
-
 // Batch kernels over the same grids as the ScalarLoop references above;
 // the ratio of the two is the hoisting + lockstep win.
 func BenchmarkNormCDFBatch(b *testing.B) {
@@ -259,20 +225,6 @@ func BenchmarkGammaIncPBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GammaIncPBatch(2, benchGrid, out)
-	}
-	sink = out[0]
-	b.ReportMetric(float64(len(benchGrid)), "points/op")
-}
-
-func BenchmarkBetaIncRegBatch(b *testing.B) {
-	xs := make([]float64, len(benchGrid))
-	out := make([]float64, len(benchGrid))
-	for i := range xs {
-		xs[i] = float64(i+1) / float64(len(xs)+1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BetaIncRegBatch(2.5, 3.5, xs, out)
 	}
 	sink = out[0]
 	b.ReportMetric(float64(len(benchGrid)), "points/op")

@@ -5,7 +5,6 @@ import "math"
 const (
 	invSqrt2   = 0.7071067811865475244008443621048490 // 1/sqrt(2)
 	invSqrt2Pi = 0.3989422804014326779399460599343819 // 1/sqrt(2*pi)
-	sqrt2      = 1.4142135623730950488016887242096981 // sqrt(2)
 	ln2Pi      = 1.8378770664093454835606594728112353 // ln(2*pi)
 )
 
@@ -52,28 +51,6 @@ func LogNormCDF(x float64) float64 {
 	// Asymptotic series for the Mills ratio correction.
 	corr := 1 - 1/z + 3/(z*z) - 15/(z*z*z) + 105/(z*z*z*z)
 	return LogNormPDF(x) - math.Log(-x) + math.Log(corr)
-}
-
-// LogNormSF returns log(1 - Phi(x)), accurate in the right tail.
-func LogNormSF(x float64) float64 {
-	return LogNormCDF(-x)
-}
-
-// NormCDFInterval returns Phi(hi) - Phi(lo) computed so that cancellation
-// is avoided when both endpoints lie in the same tail.
-func NormCDFInterval(lo, hi float64) float64 {
-	if lo > hi {
-		return 0
-	}
-	switch {
-	case lo >= 0:
-		// Both in the right tail: use survival functions.
-		return NormSF(lo) - NormSF(hi)
-	case hi <= 0:
-		return NormCDF(hi) - NormCDF(lo)
-	default:
-		return NormCDF(hi) - NormCDF(lo)
-	}
 }
 
 // NormQuantile returns the standard Normal quantile Phi^{-1}(p) for

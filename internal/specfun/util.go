@@ -2,36 +2,6 @@ package specfun
 
 import "math"
 
-// LogSumExp returns log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogDiffExp returns log(exp(a) - exp(b)) for a >= b, without overflow and
-// without cancellation when a and b are close. It returns -Inf when a==b
-// and NaN when a < b.
-func LogDiffExp(a, b float64) float64 {
-	if a < b {
-		return math.NaN()
-	}
-	if a == b {
-		return math.Inf(-1)
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	return a + Log1mExp(b-a)
-}
-
 // Log1mExp returns log(1 - exp(x)) for x <= 0, using the two-branch
 // algorithm of Mächler (2012) for full accuracy near 0 and -inf.
 func Log1mExp(x float64) float64 {

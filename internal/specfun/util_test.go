@@ -3,49 +3,7 @@ package specfun
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestLogSumExp(t *testing.T) {
-	almostEq(t, LogSumExp(0, 0), math.Ln2, 1e-15, "lse(0,0)")
-	almostEq(t, LogSumExp(1000, 1000), 1000+math.Ln2, 1e-12, "lse big")
-	almostEq(t, LogSumExp(-1000, 0), 0, 1e-12, "lse dominated")
-	if LogSumExp(math.Inf(-1), 3) != 3 || LogSumExp(3, math.Inf(-1)) != 3 {
-		t.Fatalf("lse with -inf wrong")
-	}
-}
-
-func TestLogSumExpProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 300)
-		b = math.Mod(b, 300)
-		got := LogSumExp(a, b)
-		want := math.Log(math.Exp(a) + math.Exp(b))
-		return math.Abs(got-want) <= 1e-10*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogDiffExp(t *testing.T) {
-	almostEq(t, LogDiffExp(math.Log(3), math.Log(1)), math.Log(2), 1e-14, "lde(ln3,ln1)")
-	if !math.IsInf(LogDiffExp(2, 2), -1) {
-		t.Fatalf("lde(a,a) must be -inf")
-	}
-	if !math.IsNaN(LogDiffExp(1, 2)) {
-		t.Fatalf("lde(a<b) must be NaN")
-	}
-	// Near-cancellation accuracy: the naive log(exp(a+d)-exp(a)) loses
-	// ~7 digits here; LogDiffExp must agree with the analytically exact
-	// a + log(expm1(d)) where d is the representable gap.
-	a := 5.0
-	b := a + 1e-9
-	d := b - a
-	got := LogDiffExp(b, a)
-	want := a + math.Log(math.Expm1(d))
-	almostEq(t, got, want, 1e-12, "lde near-equal args")
-}
 
 func TestLog1mExp(t *testing.T) {
 	almostEq(t, Log1mExp(-math.Ln2), math.Log(0.5), 1e-14, "l1me(-ln2)")

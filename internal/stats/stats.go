@@ -1,6 +1,7 @@
 // Package stats provides the summary statistics, confidence intervals,
-// histograms and goodness-of-fit tests used to aggregate and validate the
-// Monte-Carlo experiments of the reservation-checkpointing library.
+// quantile sketches, sequential stopping rules and goodness-of-fit tests
+// used to aggregate and validate the Monte-Carlo experiments of the
+// reservation-checkpointing library.
 //
 // The two goodness-of-fit tests (Kolmogorov–Smirnov for continuous laws,
 // chi-square for discrete laws) are how the test-suite proves that the
@@ -135,76 +136,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(i)
 	return s[i] + frac*(s[i+1]-s[i])
-}
-
-// Histogram bins observations into equal-width cells over the closed
-// range [Lo, Hi]: the last bin is closed on both sides, so Add(Hi)
-// lands in Counts[len(Counts)-1], not in the overflow tally.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	under  int64
-	over   int64
-	nan    int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if !(lo < hi) || bins < 1 {
-		panic(fmt.Sprintf("stats: invalid histogram [%g, %g] x %d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add bins one observation. x == Hi counts in the last bin (closed
-// range); x below Lo or above Hi counts as an outlier; NaN is rejected
-// into its own tally (a NaN would otherwise corrupt the bin index) and
-// reported by NaNs, not by Outliers.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case math.IsNaN(x):
-		h.nan++
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		if x == h.Hi {
-			h.Counts[len(h.Counts)-1]++
-			return
-		}
-		h.over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) {
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations added (including outliers
-// and NaNs).
-func (h *Histogram) Total() int64 { return h.total }
-
-// Outliers returns the counts strictly below Lo and strictly above Hi.
-// The boundary Add(Hi) is in range (last bin), and NaNs are tallied
-// separately by NaNs.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
-
-// NaNs returns the number of NaN observations rejected by Add.
-func (h *Histogram) NaNs() int64 { return h.nan }
-
-// Density returns the normalized bin densities (integrating to the
-// in-range fraction of the data).
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return d
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		d[i] = float64(c) / (float64(h.total) * w)
-	}
-	return d
 }

@@ -108,36 +108,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Errorf("bin %d: %d", i, c)
-		}
-	}
-	h.Add(-1)
-	h.Add(11)
-	h.Add(10) // boundary goes to last bin
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Errorf("outliers %d %d", under, over)
-	}
-	if h.Counts[9] != 11 {
-		t.Errorf("boundary handling: %d", h.Counts[9])
-	}
-	d := h.Density()
-	var integral float64
-	for _, v := range d {
-		integral += v * 1.0
-	}
-	if math.Abs(integral-float64(101)/103) > 1e-12 {
-		t.Errorf("density integral %g", integral)
-	}
-}
-
 func TestKSEmptySample(t *testing.T) {
 	res := KolmogorovSmirnov(nil, func(float64) float64 { return 0.5 })
 	if !math.IsNaN(res.Statistic) {
@@ -160,47 +130,5 @@ func TestAndersonDarlingEmpty(t *testing.T) {
 	res := AndersonDarling(nil, func(float64) float64 { return 0.5 })
 	if !math.IsNaN(res.Statistic) {
 		t.Errorf("empty sample should give NaN")
-	}
-}
-
-func TestHistogramBoundaries(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-
-	h.Add(0) // x == Lo: first bin, not an underflow
-	if under, _ := h.Outliers(); under != 0 || h.Counts[0] != 1 {
-		t.Errorf("Add(Lo): under=%d, Counts[0]=%d, want 0 and 1", under, h.Counts[0])
-	}
-
-	h.Add(10) // x == Hi: last bin (closed range), not an overflow
-	if _, over := h.Outliers(); over != 0 || h.Counts[9] != 1 {
-		t.Errorf("Add(Hi): over=%d, Counts[9]=%d, want 0 and 1", over, h.Counts[9])
-	}
-
-	h.Add(math.Nextafter(10, 11)) // just above Hi: overflow
-	if _, over := h.Outliers(); over != 1 {
-		t.Errorf("Add(Hi+ulp): over=%d, want 1", over)
-	}
-	h.Add(math.Nextafter(0, -1)) // just below Lo: underflow
-	if under, _ := h.Outliers(); under != 1 {
-		t.Errorf("Add(Lo-ulp): under=%d, want 1", under)
-	}
-
-	h.Add(math.NaN()) // rejected into its own tally, no panic
-	if h.NaNs() != 1 {
-		t.Errorf("NaNs() = %d, want 1", h.NaNs())
-	}
-	if under, over := h.Outliers(); under != 1 || over != 1 {
-		t.Errorf("NaN leaked into outliers: under=%d over=%d", under, over)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total() = %d, want 5", h.Total())
-	}
-
-	var inBins int64
-	for _, c := range h.Counts {
-		inBins += c
-	}
-	if inBins != 2 {
-		t.Errorf("binned count = %d, want 2", inBins)
 	}
 }

@@ -228,7 +228,7 @@ func (Never) Decide(State) Action { return Continue }
 // P given by the Young/Daly formula. The paper's related work contrasts
 // this regime (checkpoints against random fail-stop errors) with its own
 // (one checkpoint against the deterministic reservation end); Periodic
-// is the right policy when sim.Config.FailureRate is positive and serves
+// is the right policy when sim.Config.Faults injects crashes and serves
 // as the cited baseline [Young 1974; Daly 2006].
 type Periodic struct {
 	P float64

@@ -18,20 +18,12 @@ import (
 // randomness or alters control flow — simulation aggregates are
 // bit-identical with observation on or off, for any worker count.
 
-// ObsRegistry names and owns a set of counters, gauges and histograms.
+// ObsRegistry names and owns a set of counters, gauges and quantile
+// sketches.
 type ObsRegistry = obs.Registry
 
 // ObsSnapshot is a point-in-time copy of a registry, shaped for JSON.
 type ObsSnapshot = obs.Snapshot
-
-// ObsCounter is a lock-free monotonic counter.
-type ObsCounter = obs.Counter
-
-// ObsGauge is a lock-free float64 gauge.
-type ObsGauge = obs.Gauge
-
-// ObsHist is a lock-free streaming histogram.
-type ObsHist = obs.Hist
 
 // NewObsRegistry returns an empty instrument registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
@@ -41,26 +33,15 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 type SimObserver = sim.Observer
 
 // NewSimObserver binds the canonical simulator instrument set on reg
-// (nil disables everything), with the saved-work histogram spanning
-// [0, savedMax).
-func NewSimObserver(reg *ObsRegistry, savedMax float64) *SimObserver {
-	return sim.NewObserver(reg, savedMax)
+// (nil disables everything), with the saved-work distribution in the
+// "sim.saved_work" quantile sketch.
+func NewSimObserver(reg *ObsRegistry) *SimObserver {
+	return sim.NewObserver(reg)
 }
 
-// TraceSink receives simulation trace events; implementations must be
-// safe for concurrent use.
-type TraceSink = obs.TraceSink
-
-// TraceEvent is one timestamped occurrence inside a simulated
-// reservation (simulation time, not wall clock).
-type TraceEvent = obs.Event
-
-// TraceCollector is a TraceSink retaining every event, for tests and
-// small experiments.
-type TraceCollector = obs.Collector
-
 // NewJSONLTraceSink wraps w in a buffered sink writing one JSON object
-// per event line. Call Flush or Close before reading the output.
+// per simulation trace event line; assign it to SimObserver.Trace. Call
+// Flush or Close before reading the output.
 func NewJSONLTraceSink(w io.Writer) *obs.JSONLSink { return obs.NewJSONLSink(w) }
 
 // Progress is a live progress reporter for long Monte-Carlo runs.

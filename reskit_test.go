@@ -1,6 +1,7 @@
 package reskit_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestQuickstartPreemptible(t *testing.T) {
 	law := reskit.Truncate(reskit.Normal(5, 0.4), 3, 7)
 	prob := reskit.NewPreemptible(60, law)
-	sol := prob.OptimalX()
+	var sol reskit.Solution = prob.OptimalX()
 	if !(sol.X >= 3 && sol.X <= 7) {
 		t.Fatalf("X_opt %g outside support", sol.X)
 	}
@@ -51,7 +52,7 @@ func TestPublicDistributionConstructors(t *testing.T) {
 func TestQuickstartWorkflow(t *testing.T) {
 	ckpt := reskit.TruncatedNormal(5, 0.4)
 	static := reskit.NewStatic(30, reskit.Normal(3, 0.5), ckpt)
-	sol := static.Optimize()
+	var sol reskit.StaticSolution = static.Optimize()
 	if sol.NOpt != 7 {
 		t.Fatalf("n_opt = %d, want 7 (paper Fig 5)", sol.NOpt)
 	}
@@ -63,6 +64,48 @@ func TestQuickstartWorkflow(t *testing.T) {
 	}
 	if math.Abs(w-20.3) > 0.3 {
 		t.Fatalf("W_int = %g, want ~20.3 (paper Fig 8)", w)
+	}
+
+	// Poisson tasks (paper Figs 7 and 10).
+	if n := reskit.NewStaticDiscrete(29, reskit.Poisson(3), ckpt).Optimize().NOpt; n != 6 {
+		t.Fatalf("discrete n_opt = %d, want 6 (paper Fig 7)", n)
+	}
+	w, err = reskit.NewDynamicDiscrete(29, reskit.Poisson(3), ckpt).Intersection()
+	if err != nil || math.Abs(w-18.9) > 0.4 {
+		t.Fatalf("discrete W_int = %g (%v), want ~18.9 (paper Fig 10)", w, err)
+	}
+
+	// A reservation too short for any task has no indifference point.
+	short := reskit.NewDynamic(1, reskit.TruncatedNormal(5, 0.5), reskit.TruncatedNormal(0.2, 0.05))
+	if _, err := short.Intersection(); !errors.Is(err, reskit.ErrNoIntersection) {
+		t.Fatalf("short reservation: err = %v, want ErrNoIntersection", err)
+	}
+}
+
+// TestTryConstructorsReturnErrors drives every Try* twin down its error
+// path: invalid input from flags must come back as an error, never as a
+// panic.
+func TestTryConstructorsReturnErrors(t *testing.T) {
+	ckpt := reskit.TruncatedNormal(5, 0.4)
+	for name, try := range map[string]func() error{
+		"TryNewPreemptible": func() error { _, err := reskit.TryNewPreemptible(10, reskit.Normal(5, 1)); return err },
+		"TryNewStatic":      func() error { _, err := reskit.TryNewStatic(-1, reskit.Normal(3, 0.5), ckpt); return err },
+		"TryNewStaticDiscrete": func() error {
+			_, err := reskit.TryNewStaticDiscrete(math.NaN(), reskit.Poisson(3), ckpt)
+			return err
+		},
+		"TryNewDynamic": func() error { _, err := reskit.TryNewDynamic(29, reskit.Normal(3, 0.5), ckpt); return err },
+		"TryNewDynamicDiscrete": func() error {
+			_, err := reskit.TryNewDynamicDiscrete(29, nil, ckpt)
+			return err
+		},
+		"TryNewDP":               func() error { _, err := reskit.TryNewDP(0, reskit.Gamma(2, 1), ckpt, 64); return err },
+		"TryNewMultiDP":          func() error { _, err := reskit.TryNewMultiDP(29, nil, ckpt, 64); return err },
+		"TryPessimisticStrategy": func() error { _, err := reskit.TryPessimisticStrategy(-1, 2); return err },
+	} {
+		if try() == nil {
+			t.Errorf("%s accepted invalid input", name)
+		}
 	}
 }
 
@@ -143,7 +186,8 @@ func TestStrategyConstructors(t *testing.T) {
 		}
 	}
 	st := reskit.StrategyState{R: 10, Elapsed: 3, Work: 3}
-	if reskit.ThresholdStrategy(2).Decide(st) != reskit.ActionCheckpoint {
+	var a reskit.Action = reskit.ThresholdStrategy(2).Decide(st)
+	if a != reskit.ActionCheckpoint {
 		t.Errorf("threshold decision wrong")
 	}
 	if reskit.NeverStrategy().Decide(st) != reskit.ActionContinue {
@@ -186,8 +230,8 @@ func TestExtensionsFacade(t *testing.T) {
 	if h.Len() != 2 {
 		t.Errorf("chain length %d", h.Len())
 	}
-	if _, err := h.ShouldCheckpoint(5, 1, 1); err == nil {
-		t.Errorf("out-of-range index must error")
+	if _, err := h.ShouldCheckpoint(5, 1, 1); !errors.Is(err, reskit.ErrChainExhausted) {
+		t.Errorf("out-of-range index: err = %v, want ErrChainExhausted", err)
 	}
 	n, _ := reskit.StaticHeteroHeuristic(h)
 	if n < 1 || n > 2 {
@@ -196,9 +240,13 @@ func TestExtensionsFacade(t *testing.T) {
 
 	// DP reference solver.
 	dp := reskit.NewDP(29, reskit.TruncatedNormal(3, 0.5), reskit.TruncatedNormal(5, 0.4), 1024)
-	dpSol := dp.Solve()
+	var dpSol reskit.DPSolution = dp.Solve()
 	if dpSol.Value <= 0 || dpSol.Threshold <= 0 {
 		t.Errorf("DP solution %+v", dpSol)
+	}
+	var multi reskit.MultiDPSolution = reskit.NewMultiDP(29, reskit.TruncatedNormal(3, 0.5), reskit.TruncatedNormal(5, 0.4), 64).Solve()
+	if multi.Value < dpSol.Value-0.5 {
+		t.Errorf("multi-checkpoint value %g below the single-commit optimum %g", multi.Value, dpSol.Value)
 	}
 }
 
@@ -270,12 +318,16 @@ func TestQueueAwareFacade(t *testing.T) {
 func TestFailureFacade(t *testing.T) {
 	task := reskit.TruncatedNormal(3, 0.5)
 	ckpt := reskit.TruncatedNormal(2, 0.3)
+	crash, err := reskit.CrashExponential(1.0 / 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := reskit.SimConfig{
 		R: 60, Task: task, Ckpt: ckpt,
-		Strategy:    reskit.YoungDalyStrategy(25, ckpt.Mean()),
-		After:       reskit.ContinueExecution,
-		FailureRate: 1.0 / 25,
-		Recovery:    0.5,
+		Strategy: reskit.YoungDalyStrategy(25, ckpt.Mean()),
+		After:    reskit.ContinueExecution,
+		Faults:   &reskit.FaultPlan{Crash: crash},
+		Recovery: 0.5,
 	}
 	agg := reskit.MonteCarlo(cfg, 5000, 3, 0)
 	if agg.Saved.Mean() <= 0 {

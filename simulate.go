@@ -66,9 +66,6 @@ type SimAggregate = sim.Aggregate
 // Simulate runs one reservation with the given generator.
 func Simulate(cfg SimConfig, r *RNG) RunResult { return sim.Run(cfg, r) }
 
-// SimulateOracle runs one reservation under the clairvoyant scheduler.
-func SimulateOracle(cfg SimConfig, r *RNG) RunResult { return sim.RunOracle(cfg, r) }
-
 // MonteCarlo runs trials independent reservations on the run engine's
 // workers (0 = all CPUs), one job per fixed block of trials; results
 // are deterministic in (cfg, trials, seed) regardless of the worker
@@ -92,13 +89,6 @@ func MonteCarloPreemptible(p *Preemptible, x float64, trials int, seed uint64, w
 	return sim.MonteCarloPreemptible(p, x, trials, seed, workers)
 }
 
-// MonteCarloPreemptibleOracle simulates the clairvoyant policy that
-// starts the checkpoint exactly when it will finish at the reservation
-// end (saving R - C every trial).
-func MonteCarloPreemptibleOracle(p *Preemptible, trials int, seed uint64, workers int) PreemptibleAggregate {
-	return sim.MonteCarloPreemptibleOracle(p, trials, seed, workers)
-}
-
 // CampaignConfig describes a multi-reservation execution of an
 // application with a known total work (Sections 1-2).
 type CampaignConfig = sim.CampaignConfig
@@ -108,9 +98,6 @@ type CampaignResult = sim.CampaignResult
 
 // RunCampaign simulates a whole multi-reservation campaign.
 func RunCampaign(cfg CampaignConfig, r *RNG) CampaignResult { return sim.RunCampaign(cfg, r) }
-
-// Workers returns the default Monte-Carlo worker count (all CPUs).
-func Workers() int { return sim.Workers() }
 
 // CampaignAggregate averages the headline metrics of a Monte-Carlo
 // campaign experiment.
@@ -131,8 +118,9 @@ func PeriodicStrategy(p float64) Strategy { return strategy.NewPeriodic(p) }
 
 // YoungDalyStrategy returns the periodic policy with the first-order
 // Young/Daly period sqrt(2 * mtbf * meanCkpt) — the baseline the paper's
-// related work cites for failure-prone platforms. Combine it with
-// SimConfig.FailureRate > 0 (the paper's Section 5 future-work setting).
+// related work cites for failure-prone platforms. Combine it with a
+// SimConfig.Faults crash process of that MTBF, such as
+// CrashExponential(1/mtbf) (the paper's Section 5 future-work setting).
 func YoungDalyStrategy(mtbf, meanCkpt float64) Strategy {
 	return strategy.NewYoungDaly(mtbf, meanCkpt)
 }

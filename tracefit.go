@@ -13,12 +13,9 @@ type Trace = trace.Trace
 // TraceFit is the outcome of fitting one parametric family to a trace.
 type TraceFit = trace.Fit
 
-// FitTrace fits all of the paper's parametric families (Normal,
-// LogNormal, Exponential, Gamma, Weibull) and returns the AIC-best one.
-func FitTrace(t *Trace) (TraceFit, error) { return trace.FitBest(t) }
-
-// FitTraceAll returns every successful family fit, best (lowest AIC)
-// first.
+// FitTraceAll fits all of the paper's parametric families (Normal,
+// LogNormal, Exponential, Gamma, Weibull) and returns every successful
+// fit, best (lowest AIC) first.
 func FitTraceAll(t *Trace) ([]TraceFit, error) { return trace.FitAll(t) }
 
 // CheckpointLawFromTrace learns the D_C of Section 3 from a trace: the

@@ -5,12 +5,12 @@ import (
 	"reskit/internal/strategy"
 )
 
-// Error-returning twins of the problem and policy constructors. The
-// classic New* constructors panic on invalid arguments — appropriate
-// when the arguments are literals in a program — while the TryNew*
-// variants return the same validation failures as errors, for callers
-// assembling problems from flags, config files, or other untrusted
-// input.
+// Error-returning twins of the constructors the command-line tools feed
+// from flags. The classic New* constructors panic on invalid arguments —
+// appropriate when the arguments are literals in a program — while the
+// Try* variants return the same validation failures as errors, for
+// callers assembling problems from flags, config files, or other
+// untrusted input.
 
 // TryNewPreemptible is NewPreemptible returning an error instead of
 // panicking on an invalid setup.
@@ -50,38 +50,8 @@ func TryNewMultiDP(r float64, task, ckpt Continuous, steps int) (*MultiDP, error
 	return core.TryNewMultiDP(r, task, ckpt, steps)
 }
 
-// TryNewHeterogeneous is NewHeterogeneous returning an error instead of
-// panicking.
-func TryNewHeterogeneous(r float64, tasks []TaskSpec) (*Heterogeneous, error) {
-	return core.TryNewHeterogeneous(r, tasks)
-}
-
-// TryStaticStrategy is StaticStrategy returning an error instead of
-// panicking.
-func TryStaticStrategy(n int) (Strategy, error) {
-	return strategy.TryNewStatic(n)
-}
-
 // TryPessimisticStrategy is PessimisticStrategy returning an error
 // instead of panicking.
 func TryPessimisticStrategy(xMax, cMax float64) (Strategy, error) {
 	return strategy.TryNewPessimistic(xMax, cMax)
-}
-
-// TryThresholdStrategy is ThresholdStrategy returning an error instead
-// of panicking.
-func TryThresholdStrategy(w float64) (Strategy, error) {
-	return strategy.TryNewWorkThreshold(w)
-}
-
-// TryPeriodicStrategy is PeriodicStrategy returning an error instead of
-// panicking.
-func TryPeriodicStrategy(p float64) (Strategy, error) {
-	return strategy.TryNewPeriodic(p)
-}
-
-// TryYoungDalyStrategy is YoungDalyStrategy returning an error instead
-// of panicking.
-func TryYoungDalyStrategy(mtbf, meanCkpt float64) (Strategy, error) {
-	return strategy.TryNewYoungDaly(mtbf, meanCkpt)
 }
