@@ -74,6 +74,7 @@ func TestCLIErrors(t *testing.T) {
 		{"-mode", "weird", "-R", "10", "-ckpt", "uniform:1,2"},                                        // bad mode
 		{"-mode", "preempt", "-R", "10", "-ckpt", "norm:5,0.4"},                                       // infinite support
 		{"-mode", "static", "-R", "10", "-task", "norm:3,0.5@[0,inf]", "-ckpt", "norm:5,0.4@[0,inf]"}, // not summable
+		{"-mode", "dynamic", "-R", "10", "-task", "det:1", "-ckpt", "det:0"},                          // point-mass task law
 	}
 	for i, args := range cases {
 		var buf strings.Builder

@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) (err error) {
 		keepGoing:   *keepGoing,
 		jobAttempts: *jobAttempts,
 		leaseTTL:    *leaseTTL, targetLease: *targetLease, minLease: *minLease, maxLease: *maxLease,
-	}, grid, cf.Seed, fp)
+	}, grid, plan.Active(), cf.Seed, fp)
 }
 
 type coordinatorOpts struct {
@@ -123,9 +123,10 @@ type coordinatorOpts struct {
 }
 
 // runCoordinator serves the ledger until the run resolves, then prints
-// simulate's result table and status block.
+// simulate's result table (with the fault tallies when faults) and
+// status block.
 func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
-	grid *sim.SweepGrid, seed, fp uint64) error {
+	grid *sim.Grid, faults bool, seed, fp uint64) error {
 
 	numJobs := grid.NumJobs()
 	reg := obs.NewRegistry()
@@ -189,7 +190,7 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 		return err
 	}
 	rep := campaign.Report{Ctx: ctx, Out: out, Path: opts.checkpoint.Path}
-	if err := rep.Table(grid, res.Payloads, runErr, elapsed); err != nil {
+	if err := rep.Table(grid, res.Payloads, faults, runErr, elapsed); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "distrun: %d/%d jobs done (%d restored) in %v, %d workers seen\n",
@@ -199,7 +200,7 @@ func runCoordinator(ctx context.Context, out io.Writer, opts coordinatorOpts,
 
 // runWorker joins the coordinator at url and executes leases until the
 // run is over.
-func runWorker(ctx context.Context, out io.Writer, url, name string, grid *sim.SweepGrid,
+func runWorker(ctx context.Context, out io.Writer, url, name string, grid *sim.Grid,
 	seed, fp uint64, failure engine.Failure, workers int) error {
 
 	err := distrun.RunWorker(ctx, distrun.WorkerConfig{

@@ -141,7 +141,7 @@ func (f *Flags) Config(ckpt reskit.Continuous, plan *reskit.FaultPlan,
 
 // Grid lays cfg out as engine jobs: one row for a plain campaign, one per
 // MTBF of -faultsweep.
-func (f *Flags) Grid(cfg reskit.CampaignConfig) (*sim.SweepGrid, error) {
+func (f *Flags) Grid(cfg reskit.CampaignConfig) (*sim.Grid, error) {
 	if f.FaultSweep == "" {
 		return sim.CampaignGrid(cfg, f.Trials), nil
 	}

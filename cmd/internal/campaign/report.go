@@ -99,12 +99,13 @@ type Report struct {
 	Path string
 }
 
-// Table prints the results of a grid run from its job-ordered payloads.
-// A plain campaign prints its mean aggregate and its wall time; a fault
-// sweep prints its trade-off, one row per MTBF, and ends at the first
-// row the run did not finish. A plain campaign cut short with no
+// Table prints the results of a campaign grid run from its job-ordered
+// payloads. A plain campaign prints its mean aggregate, with the fault
+// tallies when faults (its fault plan is active), and its wall time; a
+// fault sweep prints its trade-off, one row per MTBF, and ends at the
+// first row the run did not finish. A plain campaign cut short with no
 // snapshot to name says after how many trials it stopped.
-func (r Report) Table(g *sim.SweepGrid, payloads [][]byte, runErr error, elapsed time.Duration) error {
+func (r Report) Table(g *sim.Grid, payloads [][]byte, faults bool, runErr error, elapsed time.Duration) error {
 	tw := tabwriter.NewWriter(r.Out, 2, 4, 2, ' ', 0)
 	if g.MTBFs != nil {
 		fmt.Fprintf(tw, "MTBF\tE(lost)\tE(util)\tE(res)\tE(crashes)\tcompletion\n")
@@ -126,7 +127,7 @@ func (r Report) Table(g *sim.SweepGrid, payloads [][]byte, runErr error, elapsed
 	if err != nil {
 		return err
 	}
-	MeanRows(tw, agg, g.Rows[0].Reservation.Faults.Active())
+	MeanRows(tw, agg, faults)
 	fmt.Fprintf(tw, "completion rate\t%.4g\n", agg.CompletionRate)
 	fmt.Fprintf(tw, "all completed\t%v\n", agg.CompletedAll)
 	fmt.Fprintf(tw, "wall time\t%v (%.0f trials/s)\n",

@@ -9,6 +9,7 @@ import (
 	"reskit"
 	"reskit/cmd/internal/campaign"
 	"reskit/internal/engine"
+	"reskit/internal/sim"
 )
 
 // ckptOpts carries the durable-run flags into the mode functions: where
@@ -25,20 +26,21 @@ type ckptOpts struct {
 	failure     engine.Failure
 }
 
-// spec assembles the engine spec every mode shares: the job grid, the
-// reproducibility contract, the durable-run layer from the CLI flags,
-// and the observability wiring. Engine per-job progress stays nil here —
-// the simulator observer already ticks per trial, and double-counting
-// the same run would corrupt the ETA.
-func (c ckptOpts) spec(jobs []engine.Job, seed uint64, workers int, out io.Writer, ob *simObs, check func(int, []byte) error) engine.Spec {
+// spec assembles the engine spec every grid mode shares: the grid's
+// jobs and restore check, the reproducibility contract, the durable-run
+// layer from the CLI flags, and the observability wiring. Engine
+// per-job progress stays nil here — the simulator observer already
+// ticks per trial, and double-counting the same run would corrupt the
+// ETA.
+func (c ckptOpts) spec(grid *sim.Grid, seed uint64, workers int, out io.Writer, ob *simObs) engine.Spec {
 	sp := engine.Spec{
-		Jobs:        jobs,
+		Jobs:        grid.Jobs(),
 		Seed:        seed,
 		Fingerprint: c.fingerprint,
 		Workers:     workers,
 		Checkpoint:  engine.Checkpoint{Path: c.path, Interval: c.interval, Resume: c.resume},
 		Failure:     c.failure,
-		Check:       check,
+		Check:       grid.Check,
 		Log:         out,
 	}
 	if ob != nil {
@@ -75,13 +77,13 @@ func runCampaignGrid(ctx context.Context, out io.Writer, cf *campaign.Flags, ckp
 	}
 
 	start := time.Now()
-	res, runErr := engine.Run(ctx, ck.spec(grid.Jobs(), cf.Seed, workers, out, ob, grid.Check))
+	res, runErr := engine.Run(ctx, ck.spec(grid, cf.Seed, workers, out, ob))
 	elapsed := time.Since(start)
 	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
 	rep := campaign.Report{Ctx: ctx, Out: out, Path: ck.path}
-	if err := rep.Table(grid, res.Payloads, runErr, elapsed); err != nil {
+	if err := rep.Table(grid, res.Payloads, plan.Active(), runErr, elapsed); err != nil {
 		return err
 	}
 	return rep.Finish(runErr, res)

@@ -62,6 +62,7 @@ func TestSimulateErrors(t *testing.T) {
 		{"-R", "10", "-ckpt", "norm:5,0.4@[0,inf]"},                                              // no task
 		{"-R", "10", "-task", "bogus", "-ckpt", "norm:5,0.4@[0,inf]"},                            // bad law
 		{"-R", "10", "-task", "gamma:1,1", "-ckpt", "norm:5,0.4@[0,inf]", "-strategies", "nope"}, // bad strategy
+		{"-R", "10", "-task", "gamma:1,1", "-ckpt", "norm:5,0.4@[0,inf]", "-recovery", "-1"},     // bad recovery
 	}
 	for i, args := range cases {
 		var buf strings.Builder
@@ -160,13 +161,61 @@ func TestWorkflowHistogram(t *testing.T) {
 	var buf strings.Builder
 	err := run([]string{
 		"-R", "29", "-task", "gamma:1,1", "-ckpt", "norm:2,0.3@[0,inf]",
-		"-trials", "2000", "-strategies", "static", "-hist",
+		"-trials", "2000", "-strategies", "static,oracle", "-hist",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "#") {
 		t.Errorf("histogram bars missing:\n%s", buf.String())
+	}
+	// The oracle row charts the clairvoyant scheduler, which saves about
+	// 26 of 29, not the never strategy its config carries: fewer than
+	// half of its runs land in the first bin.
+	lines := strings.Split(buf.String(), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "oracle ") || i+1 == len(lines) {
+			continue
+		}
+		fields := strings.Fields(lines[i+1])
+		n, err := strconv.Atoi(fields[len(fields)-1])
+		if err != nil || !strings.HasPrefix(lines[i+1], "  [  0.0-") {
+			t.Fatalf("no first bin under the oracle row:\n%s", buf.String())
+		}
+		if n >= 1000 {
+			t.Errorf("oracle chart holds %d of 2000 runs in its first bin:\n%s", n, buf.String())
+		}
+		return
+	}
+	t.Fatalf("no oracle row:\n%s", buf.String())
+}
+
+// TestWorkflowPointMassTask: the dynamic rule refuses a point-mass task
+// law, so its dynamic and threshold rows are notes and no W_int line
+// prints, while the static and oracle rows run.
+func TestWorkflowPointMassTask(t *testing.T) {
+	var buf strings.Builder
+	err := run([]string{
+		"-R", "10", "-task", "det:1", "-ckpt", "det:0",
+		"-strategies", "dynamic,static,threshold,oracle", "-trials", "2000",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"dynamic    (point-mass task law)",
+		"threshold  (point-mass task law)",
+		"static     9  ",
+		"oracle     10 ",
+		"static n_opt = 9",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "W_int") {
+		t.Errorf("W_int printed for a point-mass task law:\n%s", out)
 	}
 }
 

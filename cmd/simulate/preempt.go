@@ -9,7 +9,6 @@ import (
 	"reskit"
 	"reskit/cmd/internal/campaign"
 	"reskit/internal/engine"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
 
@@ -41,24 +40,12 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 		{"oracle", 0, r - ckpt.Mean(), true},
 	}
 
-	numBlocks := sim.NumMonteCarloBlocks(trials)
-	jobs := make([]engine.Job, 0, len(policies)*numBlocks)
-	for pi := range policies {
-		for b := 0; b < numBlocks; b++ {
-			pi, b := pi, b
-			jobs = append(jobs, engine.Job{
-				Name:   fmt.Sprintf("%s/block%d", policies[pi].name, b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.PreemptibleBlockPayload(ctx, p, policies[pi].x, policies[pi].oracle, trials, b, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
+	rows := make([]sim.PreemptibleRow, len(policies))
+	for pi, pol := range policies {
+		rows[pi] = sim.PreemptibleRow{Name: pol.name, P: p, X: pol.x, Oracle: pol.oracle}
 	}
-
-	check := func(_ int, data []byte) error { return sim.CheckPreemptiblePayload(data) }
-	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, check))
+	grid := sim.PreemptibleGrid(trials, rows...)
+	res, runErr := engine.Run(ctx, ckOpts.spec(grid, seed, workers, out, ob))
 	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
@@ -66,7 +53,7 @@ func runPreempt(ctx context.Context, out io.Writer, r float64, ckpt reskit.Conti
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "policy\tX\tanalytic E(W)\tsimulated E(W)\t±95%%\tsuccess\n")
 	for pi, pol := range policies {
-		agg, err := sim.MergePreemptiblePayloads(res.Payloads[pi*numBlocks : (pi+1)*numBlocks])
+		agg, err := sim.MergePreemptiblePayloads(grid.Row(res.Payloads, pi))
 		if err != nil {
 			return err
 		}

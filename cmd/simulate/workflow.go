@@ -11,13 +11,17 @@ import (
 
 	"reskit"
 	"reskit/cmd/internal/campaign"
+	"reskit/internal/core"
 	"reskit/internal/dist"
 	"reskit/internal/engine"
 	"reskit/internal/fault"
 	"reskit/internal/lawspec"
-	"reskit/internal/rng"
 	"reskit/internal/sim"
 )
+
+// pointMassNote is the note row of a strategy that needs the dynamic
+// rule under a point-mass task law.
+const pointMassNote = "(point-mass task law)"
 
 // stratSpec is one resolved strategy of the comparison: either a
 // runnable configuration (cfg, oracle) or a table note explaining why
@@ -81,7 +85,9 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 		}
 		base.Task = law
 		taskMeanLaw = law
-		if dynamic, err = reskit.TryNewDynamic(r, law, ckpt); err != nil {
+		// A point-mass task law has no density for the dynamic rule to
+		// integrate: its dynamic and threshold rows become notes.
+		if dynamic, err = reskit.TryNewDynamic(r, law, ckpt); err != nil && !errors.Is(err, core.ErrPointMassTask) {
 			return err
 		}
 		if s, ok := law.(reskit.Summable); ok {
@@ -118,12 +124,18 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 	}
 
 	sol := static.Optimize()
-	wInt, wErr := dynamic.Intersection()
+	var wInt float64
+	var wErr error
+	if dynamic != nil {
+		wInt, wErr = dynamic.Intersection()
+	}
 
 	// Resolve every requested strategy before any simulation runs, so
 	// configuration problems (an unknown name, an unusable pessimistic
-	// bound) surface as errors up front, not mid-table.
+	// bound) surface as errors up front, not mid-table. Each runnable
+	// strategy is one grid row, in table order.
 	var specs []stratSpec
+	var rows []sim.ReservationRow
 	for _, name := range strings.Split(strategyList, ",") {
 		name = strings.TrimSpace(name)
 		s := stratSpec{name: name, cfg: base}
@@ -132,10 +144,18 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 			s.cfg.Strategy = reskit.NeverStrategy()
 			s.oracle = true
 		case "dynamic":
+			if dynamic == nil {
+				s.note = pointMassNote
+				break
+			}
 			s.cfg.Strategy = ob.counted(reskit.DynamicStrategy(dynamic))
 		case "static":
 			s.cfg.Strategy = ob.counted(reskit.StaticStrategy(sol.NOpt))
 		case "threshold":
+			if dynamic == nil {
+				s.note = pointMassNote
+				break
+			}
 			if wErr != nil {
 				s.note = "(no intersection)"
 				break
@@ -166,35 +186,17 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 		default:
 			return fmt.Errorf("unknown strategy %q", name)
 		}
+		if s.note == "" {
+			// The grid panics on an invalid config; flags report it.
+			if err := s.cfg.Validate(); err != nil {
+				return err
+			}
+			rows = append(rows, sim.ReservationRow{Name: s.name, Cfg: s.cfg, Oracle: s.oracle})
+		}
 		specs = append(specs, s)
 	}
-
-	// One engine job per (runnable strategy, block); offsets[i] is the
-	// base job index of specs[i] (-1 for note rows).
-	numBlocks := sim.NumMonteCarloBlocks(trials)
-	offsets := make([]int, len(specs))
-	var jobs []engine.Job
-	for si := range specs {
-		if specs[si].note != "" {
-			offsets[si] = -1
-			continue
-		}
-		offsets[si] = len(jobs)
-		for b := 0; b < numBlocks; b++ {
-			si, b := si, b
-			jobs = append(jobs, engine.Job{
-				Name:   fmt.Sprintf("%s/block%d", specs[si].name, b),
-				Stream: uint64(b),
-				Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-					data, err := sim.MonteCarloBlockPayload(ctx, specs[si].cfg, trials, b, specs[si].oracle, src)
-					return engine.JobResult{Payload: data}, err
-				},
-			})
-		}
-	}
-
-	check := func(_ int, data []byte) error { return sim.CheckMonteCarloPayload(data) }
-	res, runErr := engine.Run(ctx, ckOpts.spec(jobs, seed, workers, out, ob, check))
+	grid := sim.ReservationGrid(trials, rows...)
+	res, runErr := engine.Run(ctx, ckOpts.spec(grid, seed, workers, out, ob))
 	if err := campaign.HardFailure(ctx, runErr, res); err != nil {
 		return err
 	}
@@ -206,15 +208,17 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 	} else {
 		fmt.Fprintf(tw, "strategy\tE(saved)\t±95%%\tE(tasks)\tE(ckpts)\tzero-runs\n")
 	}
-	for si, s := range specs {
+	ri := 0
+	for _, s := range specs {
 		if s.note != "" {
 			fmt.Fprintf(tw, "%s\t%s\n", s.name, s.note)
 			continue
 		}
-		agg, err := sim.MergeMonteCarloPayloads(res.Payloads[offsets[si] : offsets[si]+numBlocks])
+		agg, err := sim.MergeMonteCarloPayloads(grid.Row(res.Payloads, ri))
 		if err != nil {
 			return err
 		}
+		ri++
 		if agg.Trials > 0 {
 			zeroPct := 100 * float64(agg.ZeroRuns) / float64(agg.Trials)
 			if faulty {
@@ -232,7 +236,7 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 			break
 		}
 		if hist {
-			if err := printHistogram(tw, s.name, s.cfg, trials, seed, r); err != nil {
+			if err := printHistogram(tw, s.cfg, s.oracle, trials, seed, r); err != nil {
 				return err
 			}
 		}
@@ -247,26 +251,31 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 		return campaign.Report{Ctx: ctx, Out: out, Path: ckOpts.path}.Finish(runErr, res)
 	}
 	fmt.Fprintf(out, "\nstatic n_opt = %d (E = %.5g analytic)\n", sol.NOpt, sol.ENOpt)
-	if wErr == nil {
+	if dynamic != nil && wErr == nil {
 		fmt.Fprintf(out, "dynamic W_int = %.5g\n", wInt)
 	}
 	return nil
 }
 
-// printHistogram re-runs a small sample of reservations and renders the
+// printHistogram re-runs a small sample of reservations of cfg — under
+// the clairvoyant scheduler when oracle is set — and renders the
 // saved-work distribution over ten equal bins of [0, rMax] as a
 // 40-column ASCII bar chart.
-func printHistogram(out io.Writer, name string, cfg reskit.SimConfig, trials int, seed uint64, rMax float64) error {
+func printHistogram(out io.Writer, cfg reskit.SimConfig, oracle bool, trials int, seed uint64, rMax float64) error {
 	n := trials
 	if n > 5000 {
 		n = 5000
+	}
+	simulate := reskit.Simulate
+	if oracle {
+		simulate = sim.RunOracle
 	}
 	var counts [10]int64
 	src := reskit.NewRNGStream(seed, 999)
 	for i := 0; i < n; i++ {
 		// Saved work lies in [0, R]; a run that saves all of R lands in
 		// the last bin.
-		b := int(float64(len(counts)) * reskit.Simulate(cfg, src).Saved / rMax)
+		b := int(float64(len(counts)) * simulate(cfg, src).Saved / rMax)
 		if b >= len(counts) {
 			b = len(counts) - 1
 		}

@@ -12,29 +12,56 @@ import (
 	"testing"
 )
 
-// TestFacadeNamesHaveCallers keeps the root facade honest: every name it
-// exports must be used somewhere else in the module. A name counts as
-// used when a Go file outside the root package's non-test files (and
-// outside e2ebench, a module of its own) selects it as reskit.X, or when
-// another exported root function mentions it as a parameter or result
-// type. A name that nothing uses is API surface without a caller: delete
-// it, or give it a caller.
+// TestFacadeNamesHaveCallers keeps two APIs honest: every name they
+// export must be used somewhere else in the module. A name counts as used
+// when a Go file outside the package's non-test files selects it as
+// pkg.X.
+//
+//   - The root facade: e2ebench, a module of its own, does not count as a
+//     caller, and a name also counts as used when another exported root
+//     function mentions it as a parameter or result type.
+//   - internal/sim: e2ebench counts as a caller, because the sim names it
+//     calls are frozen with it.
+//
+// A name that nothing uses is API surface without a caller: delete it,
+// unexport it, or give it a caller.
 func TestFacadeNamesHaveCallers(t *testing.T) {
+	for _, pkg := range []struct {
+		dir, path      string
+		withSignatures bool // exported function signatures count as uses
+		withE2E        bool // e2ebench counts as a caller
+	}{
+		{".", "reskit", true, false},
+		{"internal/sim", "reskit/internal/sim", false, true},
+	} {
+		unused := unusedExports(t, pkg.dir, pkg.path, pkg.withSignatures, pkg.withE2E)
+		if len(unused) > 0 {
+			t.Errorf("%d exported names of %s have no caller in the module:\n  %s",
+				len(unused), pkg.path, strings.Join(unused, "\n  "))
+		}
+	}
+}
+
+// unusedExports returns the exported top-level names of the package in
+// dir (import path path) that no Go file outside the package's non-test
+// files selects.
+func unusedExports(t *testing.T, dir, path string, withSignatures, withE2E bool) []string {
+	t.Helper()
 	fset := token.NewFileSet()
-	root, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := root["reskit"]
+	pkg := pkgs[filepath.Base(path)]
 	if pkg == nil {
-		t.Fatal("no package reskit in the module root")
+		t.Fatalf("no package %s in %s", path, dir)
 	}
 	exported := map[string]bool{}
 	used := map[string]bool{}
 	markTypes := func(fields *ast.FieldList) {
-		if fields == nil {
+		if fields == nil || !withSignatures {
 			return
 		}
 		for _, f := range fields.List {
@@ -74,31 +101,31 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		}
 	}
 	if len(exported) == 0 {
-		t.Fatal("the facade exports nothing")
+		t.Fatalf("%s exports nothing", path)
 	}
 
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != "." && (name == "e2ebench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+			if p != "." && ((name == "e2ebench" && !withE2E) || name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || (filepath.Dir(path) == "." && !strings.HasSuffix(path, "_test.go")) {
+		if !strings.HasSuffix(p, ".go") || (filepath.Dir(p) == filepath.Clean(dir) && !strings.HasSuffix(p, "_test.go")) {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		local := ""
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "reskit" {
-				local = "reskit"
+			if ip, _ := strconv.Unquote(imp.Path.Value); ip == path {
+				local = filepath.Base(path)
 				if imp.Name != nil {
 					local = imp.Name.Name
 				}
@@ -128,8 +155,5 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		}
 	}
 	sort.Strings(unused)
-	if len(unused) > 0 {
-		t.Errorf("%d exported facade names have no caller in the module:\n  %s",
-			len(unused), strings.Join(unused, "\n  "))
-	}
+	return unused
 }

@@ -18,6 +18,12 @@ import (
 // better option inside the reservation (or always is).
 var ErrNoIntersection = errors.New("core: expected-work curves do not cross inside (0, R)")
 
+// ErrPointMassTask is returned by TryNewDynamic for a task law whose
+// support is a single point: the rule integrates the task density, and
+// a point mass has none. A point-mass checkpoint law is fine, because
+// the rule reads only its CDF.
+var ErrPointMassTask = errors.New("core: the dynamic rule needs a task density, and a point-mass task law has none")
+
 // Dynamic is the Section 4.3 problem: at the end of each task, knowing
 // the work W_n accumulated so far, decide whether to checkpoint now or to
 // run (at least) one more task. The decision compares

@@ -171,6 +171,19 @@ func TestDynamicConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestDynamicRefusesPointMassTask: the rule integrates the task density,
+// so TryNewDynamic refuses a task law whose support is one point; a
+// point-mass checkpoint law, read only through its CDF, stays allowed.
+func TestDynamicRefusesPointMassTask(t *testing.T) {
+	_, err := TryNewDynamic(10, dist.NewDeterministic(1), dist.NewDeterministic(0))
+	if !errors.Is(err, ErrPointMassTask) {
+		t.Errorf("TryNewDynamic(10, det:1, det:0) err = %v, want ErrPointMassTask", err)
+	}
+	if _, err := TryNewDynamic(10, dist.NewGamma(1, 1), dist.NewDeterministic(0)); err != nil {
+		t.Errorf("point-mass checkpoint law refused: %v", err)
+	}
+}
+
 // v11Dynamic is the V11 instance (R = 100, the failure-regime
 // benchmark), where work reaches ~95 and a coefficient error is
 // multiplied by it in work*A - B.

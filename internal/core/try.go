@@ -97,8 +97,12 @@ func TryNewDynamic(r float64, task dist.Continuous, ckpt dist.Continuous) (*Dyna
 	if task == nil {
 		return nil, fmt.Errorf("core: NewDynamic: task law must not be nil")
 	}
-	if lo, _ := task.Support(); lo < 0 {
+	lo, hi := task.Support()
+	if lo < 0 {
 		return nil, fmt.Errorf("core: NewDynamic: task law support must start at >= 0, got %g", lo)
+	}
+	if lo == hi {
+		return nil, fmt.Errorf("%w (task law %v)", ErrPointMassTask, task)
 	}
 	return &Dynamic{
 		R: r, Ckpt: ckpt, Task: task,

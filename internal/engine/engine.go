@@ -1,11 +1,16 @@
-// Package engine is the single execution path shared by every
-// experiment mode of the toolchain and by the library's Monte-Carlo
-// calls: a run is a list of deterministic Jobs (one Monte-Carlo block,
-// one sweep cell, one figure), and the engine owns everything around
-// them — worker sharding, per-job rng substreams, cooperative
-// cancellation with a graceful drain, durable snapshot/restore at job
-// granularity (internal/ckpt), atomic artifact writing
-// (internal/atomicio), and obs instrumentation.
+// Package engine is the execution path shared by the experiment modes
+// of the toolchain and by the library's Monte-Carlo calls: a run is a
+// list of deterministic Jobs (one Monte-Carlo block, one figure), and
+// the engine owns everything around them — worker sharding, per-job rng
+// substreams, cooperative cancellation with a graceful drain, durable
+// snapshot/restore at job granularity (internal/ckpt), atomic artifact
+// writing (internal/atomicio), and obs instrumentation.
+//
+// Monte-Carlo blocks become jobs through one layout, sim.Grid, whether
+// the library, cmd/simulate or cmd/distrun runs them. Two Monte-Carlos
+// still run outside that grid: internal/planner runs one engine job per
+// (candidate, trial) with a payload codec of its own, and
+// sched.CompareLengths is a serial loop that bypasses the engine.
 //
 // The determinism contract is that of fixed-block Monte-Carlo: a Job
 // must depend only on the spec configuration and the rng substream it

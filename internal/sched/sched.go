@@ -96,7 +96,9 @@ type Result struct {
 // Run simulates the campaign including queue waits. Each reservation
 // request waits according to the model before starting; the job occupies
 // the machine for the reservation's TimeUsed (a dropped reservation
-// frees the job to request the next one early).
+// frees the job to request the next one early). Its campaign fields,
+// fault tallies included, are those of sim.RunCampaign on the same
+// stream when the waits draw no variate (NoWait).
 func Run(cfg Config, r *rng.Source) Result {
 	if cfg.Wait == nil {
 		cfg.Wait = NoWait{}
@@ -108,7 +110,12 @@ func Run(cfg Config, r *rng.Source) Result {
 	res := Result{}
 	maxRes := cfg.Campaign.MaxReservations
 	if maxRes <= 0 {
-		perRes := cfg.Campaign.Reservation.R
+		// sim.RunCampaign's auto cap: a generous multiple of the
+		// zero-overhead lower bound.
+		perRes := cfg.Campaign.Reservation.R - cfg.Campaign.Reservation.Recovery
+		if perRes <= 0 {
+			perRes = cfg.Campaign.Reservation.R
+		}
 		maxRes = int(20*cfg.Campaign.TotalWork/perRes) + 100
 	}
 	waitLaw := cfg.Wait.WaitLaw(cfg.Campaign.Reservation.R)
@@ -134,6 +141,11 @@ func Run(cfg Config, r *rng.Source) Result {
 		res.Committed += run.Saved
 		res.LostWork += run.Lost
 		res.FailedCkpts += run.FailedCkpts
+		res.CkptFaults += run.CkptFaults
+		res.Crashes += run.Failures
+		if run.Revoked {
+			res.RevokedRes++
+		}
 		if run.Saved == 0 {
 			res.StalledRounds++
 		}

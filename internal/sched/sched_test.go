@@ -7,6 +7,7 @@ import (
 
 	"reskit/internal/core"
 	"reskit/internal/dist"
+	"reskit/internal/fault"
 	"reskit/internal/rng"
 	"reskit/internal/sim"
 	"reskit/internal/strategy"
@@ -143,4 +144,36 @@ func TestRunValidation(t *testing.T) {
 				Strategy: dynStrategy(29, task, ckpt)},
 		},
 	}, rng.New(1))
+}
+
+// TestRunMatchesSimCampaignUnderFaults: with NoWait, which draws no
+// variate, Run's campaign result is sim.RunCampaign's field for field
+// under a fault plan, the crash, failed-commit and revocation tallies
+// and the reservation cap included.
+func TestRunMatchesSimCampaignUnderFaults(t *testing.T) {
+	task, ckpt := schedLaws()
+	camp := sim.CampaignConfig{
+		Reservation: sim.Config{
+			R: 29, Recovery: 1.5, Task: task, Ckpt: ckpt,
+			Strategy: dynStrategy(29, task, ckpt),
+			Faults: &fault.Plan{
+				Crash:  fault.ExpArrival{Rate: 0.05},
+				Ckpt:   fault.CkptBernoulli{P: 0.1},
+				Revoke: fault.ExpRevocation{Rate: 0.01},
+			},
+		},
+		TotalWork: 300,
+	}
+	var faults int
+	for i := uint64(0); i < 50; i++ {
+		got := Run(Config{Campaign: camp, Wait: NoWait{}}, rng.NewStream(1, i)).CampaignResult
+		want := sim.RunCampaign(camp, rng.NewStream(1, i))
+		if got != want {
+			t.Fatalf("trial %d:\n sched %+v\n sim   %+v", i, got, want)
+		}
+		faults += want.Crashes + want.CkptFaults + want.RevokedRes
+	}
+	if faults == 0 {
+		t.Fatal("the fault plan never struck; the comparison checks nothing")
+	}
 }

@@ -6,36 +6,32 @@ import (
 	"fmt"
 	"math"
 
-	"reskit/internal/core"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
 )
 
 // Monte-Carlo blocks as engine jobs. A run of `trials` trials is a fixed
 // grid of blocks: block b always simulates trials [b*blockSize, ...) on
-// rng substream b. The MonteCarlo* calls drain that grid through
-// engine.RunStream and merge typed partials in memory (runBlocks);
-// callers that need durable or distributed runs build one engine job
-// per block instead, where each *BlockPayload function runs exactly one
-// block on a caller-provided source and returns the block's partial
-// aggregate as bit-exact opaque bytes. Merging payloads in block order
-// (Merge*Payloads) reproduces the corresponding MonteCarlo* aggregate
-// bit-identically — for any schedule, any worker count, and any mix of
-// restored and recomputed blocks. A block is the unit of durability:
-// engine.Run records the payload of every completed block in its
-// snapshot, and a resume re-runs only the missing ones.
+// rng substream b, and returns the block's partial aggregate as
+// bit-exact opaque bytes (the codecs below). A Grid (grid.go) turns the
+// blocks of one or more Monte-Carlos into engine jobs, whoever runs
+// them. Merging payloads in block order (Merge*Payloads) reproduces the
+// aggregate bit-identically — for any schedule, any worker count, and
+// any mix of restored and recomputed blocks. A block is the unit of
+// durability: engine.Run records the payload of every completed block
+// in its snapshot, and a resume re-runs only the missing ones.
 
-// NumMonteCarloBlocks returns the block-grid size of the
-// per-reservation runners (MonteCarlo*, MonteCarloPreemptible*).
-func NumMonteCarloBlocks(trials int) int {
+// numMonteCarloBlocks returns the block-grid size of the
+// per-reservation and preemptible Monte-Carlos.
+func numMonteCarloBlocks(trials int) int {
 	if trials <= 0 {
 		return 0
 	}
 	return (trials + mcBlockSize - 1) / mcBlockSize
 }
 
-// NumCampaignBlocks returns the block-grid size of the campaign
-// runners (MonteCarloCampaign*), which is also the job cap
+// NumCampaignBlocks returns the block-grid size of a campaign
+// Monte-Carlo, which is also the job cap
 // (engine.StreamSpec.MaxJobs) of a campaign stream with that trial
 // budget: streamed blocks are all-or-nothing, so a budget rounds up.
 func NumCampaignBlocks(trials int) int {
@@ -43,24 +39,6 @@ func NumCampaignBlocks(trials int) int {
 		return 0
 	}
 	return (trials + campaignBlockSize - 1) / campaignBlockSize
-}
-
-// MonteCarloBlockPayload runs block `block` of a per-reservation
-// Monte-Carlo (RunOracle when oracle is set, Run otherwise) on src —
-// which must be rng.NewStream(seed, block) for the canonical result —
-// and returns the encoded block aggregate. When ctx is cancelled
-// mid-block the partial tallies are discarded and ctx.Err() returned:
-// a block is all-or-nothing, so it can be re-run on resume.
-func MonteCarloBlockPayload(ctx context.Context, cfg Config, trials, block int, oracle bool, src *rng.Source) ([]byte, error) {
-	cfg.validate()
-	if err := checkBlock(trials, block, NumMonteCarloBlocks(trials)); err != nil {
-		return nil, err
-	}
-	agg, complete := runMCBlock(cfg, trials, block, src, oracle, ctx.Done())
-	if !complete {
-		return nil, interruptErr(ctx)
-	}
-	return encodeAggregate(&agg), nil
 }
 
 // MergeMonteCarloPayloads folds block payloads, in block order, into
@@ -81,17 +59,11 @@ func MergeMonteCarloPayloads(payloads [][]byte) (Aggregate, error) {
 	return total, nil
 }
 
-// CheckMonteCarloPayload reports whether data parses as a Monte-Carlo
-// block payload, without keeping the result.
-func CheckMonteCarloPayload(data []byte) error {
-	var a Aggregate
-	return decodeAggregate(data, &a)
-}
-
 // CampaignBlockPayload runs block `block` of a campaign Monte-Carlo on
 // src (rng.NewStream(seed, block) for the canonical result) and returns
-// the encoded block sums, under the same all-or-nothing cancellation
-// contract as MonteCarloBlockPayload.
+// the encoded block sums. When ctx is cancelled mid-block the partial
+// sums are discarded and ctx.Err() returned: a block is all-or-nothing,
+// so it can be re-run on resume.
 func CampaignBlockPayload(ctx context.Context, cfg CampaignConfig, trials, block int, src *rng.Source) ([]byte, error) {
 	cfg.validate()
 	if err := checkBlock(trials, block, NumCampaignBlocks(trials)); err != nil {
@@ -128,22 +100,6 @@ func CheckCampaignPayload(data []byte) error {
 	return decodeCampaignPartial(data, &p)
 }
 
-// PreemptibleBlockPayload runs block `block` of a preemptible-scenario
-// Monte-Carlo — the fixed lead-time x policy, or the clairvoyant one
-// when oracle is set — on src (rng.NewStream(seed, block) for the
-// canonical result), under the same all-or-nothing cancellation
-// contract as MonteCarloBlockPayload.
-func PreemptibleBlockPayload(ctx context.Context, p *core.Preemptible, x float64, oracle bool, trials, block int, src *rng.Source) ([]byte, error) {
-	if err := checkBlock(trials, block, NumMonteCarloBlocks(trials)); err != nil {
-		return nil, err
-	}
-	part, complete := runPreemptBlock(preemptTrial(p, x, oracle), trials, block, src, ctx.Done())
-	if !complete {
-		return nil, interruptErr(ctx)
-	}
-	return encodePreemptPartial(&part), nil
-}
-
 // MergePreemptiblePayloads folds preemptible block payloads, in block
 // order, into the aggregate; nil entries are skipped.
 func MergePreemptiblePayloads(payloads [][]byte) (PreemptibleAggregate, error) {
@@ -159,13 +115,6 @@ func MergePreemptiblePayloads(payloads [][]byte) (PreemptibleAggregate, error) {
 		agg.merge(&p)
 	}
 	return agg, nil
-}
-
-// CheckPreemptiblePayload reports whether data parses as a preemptible
-// block payload, without keeping the result.
-func CheckPreemptiblePayload(data []byte) error {
-	var p preemptPartial
-	return decodePreemptPartial(data, &p)
 }
 
 // aggregateWireSize is the exact encoded size of an Aggregate: seven

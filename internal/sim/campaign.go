@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -152,36 +151,15 @@ type campaignPartial struct {
 }
 
 // MonteCarloCampaign runs `trials` independent campaigns of cfg on
-// `workers` engine workers (Workers() when workers <= 0) and averages the
-// headline metrics. Trials are partitioned into fixed-size blocks, each
-// drawing from its own rng substream of seed, and block sums are reduced
-// in deterministic order — the aggregate depends only on (cfg, trials,
-// seed), never on the worker count or goroutine scheduling.
+// `workers` engine workers (all CPUs when workers <= 0) and averages the
+// headline metrics: it runs the CampaignGrid of cfg, the grid
+// cmd/simulate -campaign and cmd/distrun run. Trials are partitioned
+// into fixed-size blocks, each drawing from its own rng substream of
+// seed, and block sums are reduced in deterministic order — the
+// aggregate depends only on (cfg, trials, seed), never on the worker
+// count or goroutine scheduling. It panics on an invalid cfg.
 func MonteCarloCampaign(cfg CampaignConfig, trials int, seed uint64, workers int) CampaignAggregate {
-	agg, _ := MonteCarloCampaignContext(context.Background(), cfg, trials, seed, workers)
-	return agg
-}
-
-// MonteCarloCampaignContext is MonteCarloCampaign with cooperative
-// cancellation: when ctx is cancelled (or its deadline passes), workers
-// stop at the next reservation boundary — within milliseconds — and the
-// call returns the well-formed aggregate of every fully completed trial
-// alongside ctx.Err(). Trials interrupted mid-campaign are discarded so
-// the averages stay exact. Without cancellation the result is
-// bit-identical to MonteCarloCampaign and the error is nil.
-func MonteCarloCampaignContext(ctx context.Context, cfg CampaignConfig, trials int, seed uint64, workers int) (CampaignAggregate, error) {
-	cfg.validate()
-	parts := make([]campaignPartial, NumCampaignBlocks(trials))
-	err := runBlocks(ctx, len(parts), seed, workers, func(b int, src *rng.Source, done <-chan struct{}) bool {
-		var complete bool
-		parts[b], complete = runCampaignBlock(cfg, trials, b, src, done)
-		return complete
-	})
-	var sum campaignPartial
-	for _, p := range parts {
-		sum.add(p)
-	}
-	return sum.aggregate(), err
+	return runGrid(CampaignGrid(cfg, trials), seed, workers, MergeCampaignPayloads)
 }
 
 // runCampaignBlock simulates the campaign trials of block b

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,47 +14,25 @@ import (
 	"reskit/internal/strategy"
 )
 
-// TestRestoreRejectsMalformedPayload checks every block validator on the
-// engine's restore path: a snapshot payload that passed the CRC but does
-// not parse as the job's block aggregate aborts engine.Run with an error
-// naming the job, before any block runs, instead of panicking or merging
-// wrong numbers.
+// TestRestoreRejectsMalformedPayload checks every grid kind's payload
+// validator on the engine's restore path: a snapshot payload that passed
+// the CRC but does not parse as the job's block aggregate aborts
+// engine.Run with an error naming the job, before any block runs,
+// instead of panicking or merging wrong numbers.
 func TestRestoreRejectsMalformedPayload(t *testing.T) {
-	res := fig8Config(strategy.NewStatic(4))
-	camp := faultyCampaignConfig(nil)
-	pre := core.NewPreemptible(10, dist.NewUniform(1, 7.5))
+	res := ReservationGrid(2*mcBlockSize, ReservationRow{Cfg: fig8Config(strategy.NewStatic(4))})
+	camp := CampaignGrid(faultyCampaignConfig(nil), 2*campaignBlockSize)
+	pre := PreemptibleGrid(2*mcBlockSize, PreemptibleRow{P: core.NewPreemptible(10, dist.NewUniform(1, 7.5)), X: 4})
 	cases := []struct {
-		name   string
-		trials int
-		block  func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error)
-		check  func([]byte) error
-		bad    []byte
+		name string
+		grid *Grid
+		bad  []byte
 	}{
-		{"montecarlo/size", 2 * mcBlockSize,
-			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
-				return MonteCarloBlockPayload(ctx, res, trials, b, false, src)
-			},
-			CheckMonteCarloPayload, []byte("not an aggregate")},
-		{"campaign/size", 2 * campaignBlockSize,
-			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
-				return CampaignBlockPayload(ctx, camp, trials, b, src)
-			},
-			CheckCampaignPayload, make([]byte, campaignPartialWireSize-1)},
-		{"campaign/counts", 2 * campaignBlockSize,
-			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
-				return CampaignBlockPayload(ctx, camp, trials, b, src)
-			},
-			CheckCampaignPayload, encodeCampaignPartial(&campaignPartial{completed: 5, trials: 3})},
-		{"preemptible/size", 2 * mcBlockSize,
-			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
-				return PreemptibleBlockPayload(ctx, pre, 4, false, trials, b, src)
-			},
-			CheckPreemptiblePayload, make([]byte, preemptPartialWireSize+1)},
-		{"preemptible/counts", 2 * mcBlockSize,
-			func(ctx context.Context, trials, b int, src *rng.Source) ([]byte, error) {
-				return PreemptibleBlockPayload(ctx, pre, 4, false, trials, b, src)
-			},
-			CheckPreemptiblePayload, encodePreemptPartial(&preemptPartial{successes: 4, trials: 3})},
+		{"montecarlo/size", res, []byte("not an aggregate")},
+		{"campaign/size", camp, make([]byte, campaignPartialWireSize-1)},
+		{"campaign/counts", camp, encodeCampaignPartial(&campaignPartial{completed: 5, trials: 3})},
+		{"preemptible/size", pre, make([]byte, preemptPartialWireSize+1)},
+		{"preemptible/counts", pre, encodePreemptPartial(&preemptPartial{successes: 4, trials: 3})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,22 +43,10 @@ func TestRestoreRejectsMalformedPayload(t *testing.T) {
 			if err := st.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
-			jobs := make([]engine.Job, 2)
-			for b := range jobs {
-				b := b
-				jobs[b] = engine.Job{
-					Name:   fmt.Sprintf("block%d", b),
-					Stream: uint64(b),
-					Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-						data, err := tc.block(ctx, tc.trials, b, src)
-						return engine.JobResult{Payload: data}, err
-					},
-				}
-			}
 			run, err := engine.Run(context.Background(), engine.Spec{
-				Jobs: jobs, Seed: seed, Fingerprint: fp, Workers: 1,
+				Jobs: tc.grid.Jobs(), Seed: seed, Fingerprint: fp, Workers: 1,
 				Checkpoint: engine.Checkpoint{Path: path, Resume: true},
-				Check:      func(_ int, data []byte) error { return tc.check(data) },
+				Check:      tc.grid.Check,
 			})
 			if err == nil || !strings.Contains(err.Error(), "job 1 (block1)") {
 				t.Fatalf("err = %v, want a restore error naming job 1 (block1)", err)
@@ -90,11 +55,11 @@ func TestRestoreRejectsMalformedPayload(t *testing.T) {
 				t.Errorf("%d blocks ran before the restore check", run.Fresh)
 			}
 			// The validator accepts the block's genuine payload.
-			good, err := tc.block(context.Background(), tc.trials, 1, rng.NewStream(seed, 1))
+			good, err := tc.grid.Job(1).Run(context.Background(), rng.NewStream(seed, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.check(good); err != nil {
+			if err := tc.grid.Check(1, good.Payload); err != nil {
 				t.Errorf("genuine payload rejected: %v", err)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"reskit/internal/dist"
+	"reskit/internal/engine"
 	"reskit/internal/fault"
 	"reskit/internal/rng"
 	"reskit/internal/strategy"
@@ -143,25 +144,18 @@ func TestFaultyMonteCarloBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMonteCarloCampaignContextUncancelledMatches(t *testing.T) {
-	cfg := faultyCampaignConfig(&fault.Plan{Crash: fault.ExpArrival{Rate: 0.02}})
-	const trials = 200
-	want := MonteCarloCampaign(cfg, trials, 5, 0)
-	got, err := MonteCarloCampaignContext(context.Background(), cfg, trials, 5, 0)
-	if err != nil {
-		t.Fatalf("uncancelled context run errored: %v", err)
-	}
-	if got != want {
-		t.Errorf("uncancelled context aggregate differs:\n got  %+v\n want %+v", got, want)
-	}
-	if got.Trials != trials {
-		t.Errorf("accounted %d trials, want %d", got.Trials, trials)
-	}
+// runGridCtx runs g's jobs through engine.Run under ctx on workers (all
+// CPUs when <= 0), as a CLI does, and returns the job-ordered payloads
+// and the run's error.
+func runGridCtx(ctx context.Context, g *Grid, seed uint64, workers int) ([][]byte, error) {
+	res, err := engine.Run(ctx, engine.Spec{Jobs: g.Jobs(), Seed: seed, Workers: workers})
+	return res.Payloads, err
 }
 
 func TestMonteCarloCampaignContextCancellation(t *testing.T) {
-	// Acceptance criterion: cancelling the campaign Monte-Carlo returns
-	// within 100ms with a well-formed partial aggregate.
+	// Acceptance criterion: cancelling a campaign grid run returns
+	// within 100ms, and its payloads merge to a well-formed partial
+	// aggregate of whole blocks.
 	cfg := faultyCampaignConfig(&fault.Plan{Crash: fault.ExpArrival{Rate: 0.02}})
 	cfg.TotalWork = 5000 // long campaigns, so cancellation strikes mid-flight
 
@@ -172,7 +166,7 @@ func TestMonteCarloCampaignContextCancellation(t *testing.T) {
 	}()
 	const trials = 200000 // hours of campaigning — cannot finish before the cancel
 	start := time.Now()
-	agg, err := MonteCarloCampaignContext(ctx, cfg, trials, 11, 0)
+	payloads, err := runGridCtx(ctx, CampaignGrid(cfg, trials), 11, 0)
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.Canceled) {
@@ -181,8 +175,12 @@ func TestMonteCarloCampaignContextCancellation(t *testing.T) {
 	if elapsed > 120*time.Millisecond {
 		t.Errorf("cancellation took %v, want <= 100ms after the cancel signal", elapsed)
 	}
-	if agg.Trials < 0 || agg.Trials >= trials {
-		t.Errorf("partial aggregate accounted %d trials", agg.Trials)
+	agg, err := MergeCampaignPayloads(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Trials < 0 || agg.Trials >= trials || agg.Trials%campaignBlockSize != 0 {
+		t.Errorf("partial aggregate accounted %d trials, want whole blocks short of %d", agg.Trials, trials)
 	}
 	if agg.Trials > 0 {
 		if math.IsNaN(agg.Utilization) || agg.Utilization < 0 || agg.Utilization > 1 {
@@ -202,13 +200,20 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 1, 0)
+	payloads, err := runGridCtx(ctx, ReservationGrid(50_000_000, ReservationRow{Cfg: cfg}), 1, 0)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed > 120*time.Millisecond {
 		t.Errorf("cancellation took %v, want <= 100ms after the cancel signal", elapsed)
+	}
+	agg, err := MergeMonteCarloPayloads(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Trials%mcBlockSize != 0 {
+		t.Errorf("partial aggregate accounted %d trials, want whole blocks", agg.Trials)
 	}
 	if agg.Trials > 0 && (math.IsNaN(agg.Saved.Mean()) || agg.Saved.Mean() < 0) {
 		t.Errorf("partial mean saved work %g malformed", agg.Saved.Mean())

@@ -1,10 +1,6 @@
 package sim
 
 import (
-	"context"
-	"runtime"
-
-	"reskit/internal/engine"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
 )
@@ -61,13 +57,6 @@ func (a *Aggregate) add(r RunResult) {
 	a.Trials++
 }
 
-// Workers returns a sensible default worker count for Monte-Carlo runs.
-// runtime.GOMAXPROCS(0) is documented to be at least 1, so no floor is
-// needed.
-func Workers() int {
-	return runtime.GOMAXPROCS(0)
-}
-
 // mcBlockSize is the number of trials bound to one rng substream. Work
 // is partitioned into fixed blocks rather than per-worker shares so the
 // result is bit-identical for any worker count: block b always uses
@@ -75,97 +64,21 @@ func Workers() int {
 const mcBlockSize = 2048
 
 // MonteCarlo runs `trials` independent reservations of cfg on `workers`
-// engine workers (Workers() when workers <= 0) and merges the results.
-// Trials are partitioned into fixed-size blocks, each drawing from its
-// own rng substream of seed, and block results are reduced in
-// deterministic order — the aggregate depends only on (cfg, trials,
-// seed), never on the worker count or goroutine scheduling.
+// engine workers (all CPUs when workers <= 0) and merges the results: it
+// runs the one-row ReservationGrid of cfg, the grid cmd/simulate runs
+// per strategy. Trials are partitioned into fixed-size blocks, each
+// drawing from its own rng substream of seed, and block results are
+// reduced in deterministic order — the aggregate depends only on (cfg,
+// trials, seed), never on the worker count or goroutine scheduling. It
+// panics on an invalid cfg.
 func MonteCarlo(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, false)
-	return agg
-}
-
-// MonteCarloContext is MonteCarlo with cooperative cancellation: when ctx
-// is cancelled (or its deadline passes), workers stop at the next trial
-// boundary and the call returns the well-formed aggregate of every
-// completed trial alongside ctx.Err(). Without cancellation the result
-// is bit-identical to MonteCarlo and the error is nil.
-func MonteCarloContext(ctx context.Context, cfg Config, trials int, seed uint64, workers int) (Aggregate, error) {
-	return monteCarloRunner(ctx, cfg, trials, seed, workers, false)
+	return runGrid(ReservationGrid(trials, ReservationRow{Cfg: cfg}), seed, workers, MergeMonteCarloPayloads)
 }
 
 // MonteCarloOracle is MonteCarlo with the clairvoyant scheduler.
 func MonteCarloOracle(cfg Config, trials int, seed uint64, workers int) Aggregate {
-	agg, _ := monteCarloRunner(context.Background(), cfg, trials, seed, workers, true)
-	return agg
+	return runGrid(ReservationGrid(trials, ReservationRow{Cfg: cfg, Oracle: true}), seed, workers, MergeMonteCarloPayloads)
 }
-
-func monteCarloRunner(ctx context.Context, cfg Config, trials int, seed uint64, workers int, oracle bool) (Aggregate, error) {
-	cfg.validate()
-	parts := make([]Aggregate, NumMonteCarloBlocks(trials))
-	err := runBlocks(ctx, len(parts), seed, workers, func(b int, src *rng.Source, done <-chan struct{}) bool {
-		var complete bool
-		parts[b], complete = runMCBlock(cfg, trials, b, src, oracle, done)
-		return complete
-	})
-	var total Aggregate
-	for _, p := range parts {
-		total.merge(p)
-	}
-	return total, err
-}
-
-// runBlocks is the worker pool behind every Monte-Carlo call: it drains
-// numBlocks block jobs through engine.RunStream on `workers` workers
-// (Workers() when workers <= 0), job b running block b on rng substream
-// b of seed. block simulates one block and stores its typed partial in
-// the caller's slot b, whether the block completed or done fired
-// mid-block (it then returns false): the caller merges the slots in
-// block order, so the aggregate is bit-identical for any worker count,
-// and after a cancellation it covers every completed trial. The stream
-// sink folds nothing and nothing is snapshotted — durable runs go
-// through the engine with a checkpoint instead. The error is ctx.Err()
-// after a cancellation.
-func runBlocks(ctx context.Context, numBlocks int, seed uint64, workers int,
-	block func(b int, src *rng.Source, done <-chan struct{}) (complete bool)) error {
-
-	if numBlocks == 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	next := 0
-	source := engine.SourceFunc(func() (engine.Job, bool) {
-		if next == numBlocks {
-			return engine.Job{}, false
-		}
-		b := next
-		next++
-		return engine.Job{
-			Stream: uint64(b),
-			Run: func(ctx context.Context, src *rng.Source) (engine.JobResult, error) {
-				if !block(b, src, ctx.Done()) {
-					return engine.JobResult{}, interruptErr(ctx)
-				}
-				return engine.JobResult{}, nil
-			},
-		}, true
-	})
-	_, err := engine.RunStream(ctx, engine.StreamSpec{Source: source, Sink: nopSink{}, Seed: seed, Workers: workers})
-	return err
-}
-
-// nopSink is runBlocks' stream sink: the partials live in the caller's
-// per-block slots, so there is nothing to fold and no state to persist.
-type nopSink struct{}
-
-func (nopSink) Commit(int, []byte) (bool, error) { return false, nil }
-func (nopSink) State() ([]byte, error)           { return nil, nil }
-func (nopSink) Restore([]byte) error             { return nil }
 
 // runMCBlock simulates the trials of block b ([b*mcBlockSize, ...)) on
 // src, under the clairvoyant RunOracle when oracle is set, and returns

@@ -40,8 +40,8 @@ type Observer struct {
 	TraceEvery int64
 
 	// Progress, when non-nil, is ticked once per completed Monte-Carlo
-	// trial (per reservation in MonteCarlo*, per campaign in
-	// MonteCarloCampaign*).
+	// trial (per reservation in a reservation grid, per campaign in a
+	// campaign grid or stream).
 	Progress *obs.Progress
 }
 

@@ -210,18 +210,26 @@ func (c *cancelOnDecision) Decide(s strategy.State) strategy.Action {
 }
 
 func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
-	// The cancellation contract: the aggregate covers exactly the trials
-	// that completed — every per-metric summary holds one sample per
-	// accounted trial, never a partial or duplicated one.
+	// The cancellation contract: a cancelled grid run merges whole blocks
+	// only, and every per-metric summary holds one sample per accounted
+	// trial, never a partial or duplicated one. About six blocks' worth
+	// of decisions run before the cancel.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := fig8Config(&cancelOnDecision{Strategy: strategy.NewWorkThreshold(20), n: 10_000, cancel: cancel})
-	agg, err := MonteCarloContext(ctx, cfg, 50_000_000, 41, 0)
+	cfg := fig8Config(&cancelOnDecision{Strategy: strategy.NewWorkThreshold(20), n: 100_000, cancel: cancel})
+	payloads, err := runGridCtx(ctx, ReservationGrid(50_000_000, ReservationRow{Cfg: cfg}), 41, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	agg, err := MergeMonteCarloPayloads(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if agg.Trials == 0 || agg.Trials >= 50_000_000 {
-		t.Fatalf("cancellation accounted %d trials; want a mid-campaign partial", agg.Trials)
+		t.Fatalf("cancellation accounted %d trials; want a mid-run partial", agg.Trials)
+	}
+	if agg.Trials%mcBlockSize != 0 {
+		t.Errorf("cancellation accounted %d trials, want whole blocks of %d", agg.Trials, mcBlockSize)
 	}
 	for _, s := range []struct {
 		name string
@@ -242,9 +250,10 @@ func TestMonteCarloCancellationMergesOnlyCompletedTrials(t *testing.T) {
 }
 
 // TestCancelledCampaignCountsOnlyCompletedBlocks: sim.blocks counts
-// completed blocks, so after a cancellation that interrupts blocks
-// mid-flight it can never account for more trials than the aggregate
-// holds.
+// completed blocks, and a cancelled grid run merges exactly those, so
+// the blocks account for every merged trial. The campaigns an
+// interrupted block finished are counted by sim.campaigns but not
+// merged.
 func TestCancelledCampaignCountsOnlyCompletedBlocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -253,18 +262,22 @@ func TestCancelledCampaignCountsOnlyCompletedBlocks(t *testing.T) {
 	cfg.Reservation.Strategy = &cancelOnDecision{Strategy: cfg.Reservation.Strategy, n: 20_000, cancel: cancel}
 	ob := NewObserver(obs.NewRegistry())
 	cfg.Reservation.Obs = ob
-	agg, err := MonteCarloCampaignContext(ctx, cfg, 1_000_000, 3, 2)
+	payloads, err := runGridCtx(ctx, CampaignGrid(cfg, 1_000_000), 3, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	agg, err := MergeCampaignPayloads(payloads)
+	if err != nil {
+		t.Fatal(err)
 	}
 	blocks := ob.Blocks.Value()
 	if blocks == 0 || int64(agg.Trials) >= 1_000_000 {
 		t.Fatalf("cancellation left %d blocks, %d trials; want a mid-run partial", blocks, agg.Trials)
 	}
-	if blocks*campaignBlockSize > int64(agg.Trials) {
-		t.Errorf("sim.blocks = %d (%d trials) exceeds the %d trials merged", blocks, blocks*campaignBlockSize, agg.Trials)
+	if blocks*campaignBlockSize != int64(agg.Trials) {
+		t.Errorf("sim.blocks = %d (%d trials), want the %d trials merged", blocks, blocks*campaignBlockSize, agg.Trials)
 	}
-	if got := ob.Campaigns.Value(); got != int64(agg.Trials) {
-		t.Errorf("sim.campaigns = %d, want Trials = %d", got, agg.Trials)
+	if got := ob.Campaigns.Value(); got < int64(agg.Trials) {
+		t.Errorf("sim.campaigns = %d, below the %d trials merged", got, agg.Trials)
 	}
 }

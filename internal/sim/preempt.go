@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-
 	"reskit/internal/core"
 	"reskit/internal/rng"
 	"reskit/internal/stats"
@@ -27,17 +25,10 @@ func (a PreemptibleAggregate) SuccessRate() float64 {
 // MonteCarloPreemptible estimates E(W(X)) by simulation: `trials`
 // independent reservations with the checkpoint started x before the end,
 // in fixed blocks on their own substreams of seed, run by `workers`
-// engine workers.
+// engine workers — the one-row PreemptibleGrid that cmd/simulate
+// -preempt runs per policy.
 func MonteCarloPreemptible(p *core.Preemptible, x float64, trials int, seed uint64, workers int) PreemptibleAggregate {
-	return preemptibleRunner(trials, seed, workers, preemptTrial(p, x, false))
-}
-
-// MonteCarloPreemptibleOracle simulates the clairvoyant policy that
-// observes the realized checkpoint duration C and starts the checkpoint
-// exactly C seconds before the end, saving R - C every time. It is the
-// per-trial upper bound on any X policy.
-func MonteCarloPreemptibleOracle(p *core.Preemptible, trials int, seed uint64, workers int) PreemptibleAggregate {
-	return preemptibleRunner(trials, seed, workers, preemptTrial(p, 0, true))
+	return runGrid(PreemptibleGrid(trials, PreemptibleRow{P: p, X: x}), seed, workers, MergePreemptiblePayloads)
 }
 
 // preemptPartial accumulates one block's preemptible-trial sums.
@@ -96,23 +87,6 @@ func runPreemptBlock(trial func(*rng.Source) (float64, bool), trials, b int,
 		p.trials++
 	}
 	return p, true
-}
-
-func preemptibleRunner(trials int, seed uint64, workers int,
-	trial func(*rng.Source) (float64, bool)) PreemptibleAggregate {
-
-	parts := make([]preemptPartial, NumMonteCarloBlocks(trials))
-	// The preemptible calls take no context, so every block runs to
-	// completion and skips the per-trial cancellation check.
-	_ = runBlocks(context.Background(), len(parts), seed, workers, func(b int, src *rng.Source, _ <-chan struct{}) bool {
-		parts[b], _ = runPreemptBlock(trial, trials, b, src, nil)
-		return true
-	})
-	var agg PreemptibleAggregate
-	for i := range parts {
-		agg.merge(&parts[i])
-	}
-	return agg
 }
 
 // merge folds one block's sums into the aggregate.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"reskit/internal/core"
@@ -261,8 +263,23 @@ func TestMonteCarloPreemptibleMatchesAnalytical(t *testing.T) {
 func TestMonteCarloPreemptibleOracleDominates(t *testing.T) {
 	p := core.NewPreemptible(10, dist.NewUniform(1, 7.5))
 	opt := p.OptimalX()
-	oracle := MonteCarloPreemptibleOracle(p, 100000, 11, 0)
-	best := MonteCarloPreemptible(p, opt.X, 100000, 11, 0)
+	// The two policies as a two-row grid, as simulate -preempt runs them.
+	g := PreemptibleGrid(100000, PreemptibleRow{P: p, Oracle: true}, PreemptibleRow{P: p, X: opt.X})
+	payloads, err := runGridCtx(context.Background(), g, 11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := MergePreemptiblePayloads(g.Row(payloads, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := MergePreemptiblePayloads(g.Row(payloads, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MonteCarloPreemptible(p, opt.X, 100000, 11, 0); best != want {
+		t.Errorf("grid row 1 %+v differs from MonteCarloPreemptible %+v", best, want)
+	}
 	if oracle.Work.Mean() < best.Work.Mean() {
 		t.Errorf("oracle %g below optimal-X %g", oracle.Work.Mean(), best.Work.Mean())
 	}
@@ -346,10 +363,10 @@ func TestMonteCarloCampaignDeterminismAcrossWorkers(t *testing.T) {
 	const trials = 150 // spans several blocks
 	a := MonteCarloCampaign(cfg, trials, 42, 1)
 	b := MonteCarloCampaign(cfg, trials, 42, 2)
-	c := MonteCarloCampaign(cfg, trials, 42, Workers())
+	c := MonteCarloCampaign(cfg, trials, 42, runtime.GOMAXPROCS(0))
 	if a != b || a != c {
 		t.Errorf("worker count changed the campaign aggregate:\n1: %+v\n2: %+v\n%d: %+v",
-			a, b, Workers(), c)
+			a, b, runtime.GOMAXPROCS(0), c)
 	}
 	d := MonteCarloCampaign(cfg, trials, 43, 2)
 	if a.Utilization == d.Utilization && a.Reservations == d.Reservations {

@@ -84,16 +84,6 @@ func decodeCampaignStreamPartial(data []byte, p *campaignStreamPartial) error {
 	return p.sketch.UnmarshalBinary(data[off:])
 }
 
-// CheckCampaignStreamPayload reports whether data parses as a streamed
-// campaign block payload, without keeping the result.
-func CheckCampaignStreamPayload(data []byte) error {
-	var p campaignStreamPartial
-	return decodeCampaignStreamPartial(data, &p)
-}
-
-// StreamTargets names the metrics a stopping rule may target.
-var StreamTargets = []string{"lost", "res", "util"}
-
 // CampaignStream is a streaming campaign: a lazy engine.JobSource of
 // full trial blocks plus the ordered engine.StreamSink folding them and
 // evaluating the stopping rule. Every sink method runs on the engine's
@@ -242,12 +232,6 @@ func (cs *CampaignStream) TargetSummary() stats.Summary {
 	default:
 		return cs.util
 	}
-}
-
-// Summaries returns the running summaries of every stream target, for
-// reporting: utilization, lost work, reservations.
-func (cs *CampaignStream) Summaries() (util, lost, res stats.Summary) {
-	return cs.util, cs.lost, cs.rsum
 }
 
 // HalfWidth returns the current CI half-width of the stop target at the

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestCampaignStreamMatchesFixedGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range streamPayloads(t, cfg, seed, blocks) {
-		if err := CheckCampaignStreamPayload(p); err != nil {
+		if err := decodeCampaignStreamPartial(p, new(campaignStreamPartial)); err != nil {
 			t.Fatalf("block %d payload: %v", i, err)
 		}
 		if _, err := cs.Commit(i, p); err != nil {
@@ -173,10 +174,10 @@ func TestCampaignStreamPayloadCodec(t *testing.T) {
 	if got := encodeCampaignStreamPartial(&dec); !bytes.Equal(got, p) {
 		t.Error("re-encode differs from the original payload")
 	}
-	if err := CheckCampaignStreamPayload(p[:campaignStreamFixedSize-1]); err == nil {
+	if err := decodeCampaignStreamPartial(p[:campaignStreamFixedSize-1], &dec); err == nil {
 		t.Error("truncated payload accepted")
 	}
-	if err := CheckCampaignStreamPayload(append(append([]byte(nil), p...), 0)); err == nil {
+	if err := decodeCampaignStreamPartial(append(append([]byte(nil), p...), 0), &dec); err == nil {
 		t.Error("payload with trailing garbage accepted")
 	}
 }
@@ -202,7 +203,7 @@ func TestNewCampaignStreamValidation(t *testing.T) {
 	if cs.Target() != "util" {
 		t.Errorf("default target = %q, want util", cs.Target())
 	}
-	for _, target := range StreamTargets {
+	for _, target := range []string{"lost", "res", "util"} {
 		if _, err := NewCampaignStream(good, stats.StopSpec{}, target); err != nil {
 			t.Errorf("target %q rejected: %v", target, err)
 		}
@@ -256,7 +257,7 @@ func TestStreamBlocks(t *testing.T) {
 }
 
 func TestParseFaultSweep(t *testing.T) {
-	mtbfs, err := ParseFaultSweep("25, 50,100")
+	mtbfs, err := parseFaultSweep("25, 50,100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +265,8 @@ func TestParseFaultSweep(t *testing.T) {
 		t.Errorf("mtbfs = %v", mtbfs)
 	}
 	for _, bad := range []string{"", "abc", "25,,50", "25,-3", "0"} {
-		if _, err := ParseFaultSweep(bad); err == nil {
-			t.Errorf("ParseFaultSweep(%q) accepted", bad)
+		if _, err := parseFaultSweep(bad); err == nil {
+			t.Errorf("parseFaultSweep(%q) accepted", bad)
 		}
 	}
 }
@@ -277,7 +278,7 @@ func TestFaultSweepConfigs(t *testing.T) {
 	cfg := streamTestConfig()
 	cfg.Reservation.Faults = &fault.Plan{Ckpt: fault.CkptBernoulli{P: 0.25}}
 
-	mtbfs, cfgs, err := FaultSweepConfigs(cfg, "30,60")
+	mtbfs, cfgs, err := faultSweepConfigs(cfg, "30,60")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +301,16 @@ func TestFaultSweepConfigs(t *testing.T) {
 	if cfg.Reservation.Faults.Crash != nil {
 		t.Error("sweep mutated the base config's plan")
 	}
-	if _, _, err := FaultSweepConfigs(cfg, "30,zero"); err == nil {
+	if _, _, err := faultSweepConfigs(cfg, "30,zero"); err == nil {
 		t.Error("bad sweep accepted")
 	}
 }
 
 func TestFaultSweepJobName(t *testing.T) {
-	mtbfs := []float64{30, 60}
+	g, err := FaultSweepGrid(streamTestConfig(), "30,60", 5*campaignBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		i    int
 		want string
@@ -317,19 +321,23 @@ func TestFaultSweepJobName(t *testing.T) {
 		{9, "mtbf=60/block4"},
 	}
 	for _, tc := range cases {
-		if got := FaultSweepJobName(mtbfs, 5, tc.i); got != tc.want {
+		if got := g.JobName(tc.i); got != tc.want {
 			t.Errorf("job %d = %q, want %q", tc.i, got, tc.want)
 		}
 	}
 }
 
-// TestSweepGridLayout pins the job layout simulate and distrun share:
+// TestSweepGridLayout pins the job layout every Monte-Carlo shares:
 // row-major over (row, block), stream = block, canonical names, each
-// job's payload the campaign block of its row, and Row slicing one
-// row's payloads out of the job-ordered list.
+// job's payload the block of its row, and Row slicing one row's
+// payloads out of the job-ordered list.
 func TestSweepGridLayout(t *testing.T) {
 	const trials, seed = 2*campaignBlockSize + 5, 9 // three blocks per row
 	g, err := FaultSweepGrid(streamTestConfig(), "30,60", trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := faultSweepConfigs(streamTestConfig(), "30,60")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +348,14 @@ func TestSweepGridLayout(t *testing.T) {
 	payloads := make([][]byte, len(jobs))
 	for i, j := range jobs {
 		ri, b := i/3, i%3
-		if want := FaultSweepJobName(g.MTBFs, 3, i); j.Name != want || j.Stream != uint64(b) {
+		if want := fmt.Sprintf("mtbf=%g/block%d", g.MTBFs[ri], b); j.Name != want || j.Stream != uint64(b) {
 			t.Errorf("job %d is %q on stream %d, want %q on %d", i, j.Name, j.Stream, want, b)
 		}
 		jr, err := j.Run(context.Background(), rng.NewStream(seed, j.Stream))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CampaignBlockPayload(context.Background(), g.Rows[ri], trials, b, rng.NewStream(seed, uint64(b)))
+		want, err := CampaignBlockPayload(context.Background(), rows[ri], trials, b, rng.NewStream(seed, uint64(b)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,5 +374,26 @@ func TestSweepGridLayout(t *testing.T) {
 	plain := CampaignGrid(streamTestConfig(), trials)
 	if plain.NumJobs() != 3 || plain.JobName(2) != "block2" || plain.MTBFs != nil {
 		t.Errorf("plain grid: %d jobs, job 2 named %q", plain.NumJobs(), plain.JobName(2))
+	}
+
+	// A reservation grid names its rows, and each row draws what its
+	// one-row grid draws: the oracle row of a two-row grid is
+	// MonteCarloOracle's block.
+	cfg := fig8Config(strategy.NewWorkThreshold(20))
+	two := ReservationGrid(mcBlockSize+1, ReservationRow{Name: "threshold", Cfg: cfg}, ReservationRow{Name: "oracle", Cfg: cfg, Oracle: true})
+	if two.NumJobs() != 4 || two.JobName(1) != "threshold/block1" || two.JobName(3) != "oracle/block1" {
+		t.Errorf("reservation grid: %d jobs, jobs 1 and 3 named %q, %q", two.NumJobs(), two.JobName(1), two.JobName(3))
+	}
+	one := ReservationGrid(mcBlockSize+1, ReservationRow{Cfg: cfg, Oracle: true})
+	got, err := two.Job(3).Run(context.Background(), rng.NewStream(seed, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := one.Job(1).Run(context.Background(), rng.NewStream(seed, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Payload, want.Payload) || one.JobName(1) != "block1" {
+		t.Errorf("oracle row block 1 differs from the one-row grid's (named %q)", one.JobName(1))
 	}
 }

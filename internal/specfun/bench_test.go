@@ -37,18 +37,6 @@ func BenchmarkNormCDF(b *testing.B) {
 	}
 }
 
-func BenchmarkNormSF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = NormSF(0.7)
-	}
-}
-
-func BenchmarkLogNormCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = LogNormCDF(-3)
-	}
-}
-
 // normQuantilePanel maps 1024 evenly spread points u in (0, 1) (a
 // golden-ratio sequence) through f into a panel of probabilities.
 func normQuantilePanel(f func(i int, u float64) float64) []float64 {
@@ -173,12 +161,6 @@ func BenchmarkDigamma(b *testing.B) {
 func BenchmarkLambertW0(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = LambertW0(1.5)
-	}
-}
-
-func BenchmarkLog1mExp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = Log1mExp(-0.5)
 	}
 }
 

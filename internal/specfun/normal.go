@@ -26,33 +26,6 @@ func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x*invSqrt2)
 }
 
-// NormSF returns the survival function 1 - Phi(x) with full relative
-// accuracy in the right tail.
-func NormSF(x float64) float64 {
-	return 0.5 * math.Erfc(x*invSqrt2)
-}
-
-// LogNormCDF returns log(Phi(x)). For x >= -1 it evaluates the CDF
-// directly; deeper in the left tail it uses an asymptotic expansion of the
-// Mills ratio so the result remains finite down to x ~ -1e154.
-func LogNormCDF(x float64) float64 {
-	if x >= -1 {
-		return math.Log(NormCDF(x))
-	}
-	// Phi(x) = phi(x)/|x| * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...), x -> -inf.
-	// Use the continued-fraction-free truncated series with a safeguard:
-	// for -38 < x < -1 the direct erfc path is still accurate because
-	// math.Erfc has full relative accuracy, so prefer it while it is
-	// representable.
-	if x > -37.5 {
-		return math.Log(0.5 * math.Erfc(-x*invSqrt2))
-	}
-	z := x * x
-	// Asymptotic series for the Mills ratio correction.
-	corr := 1 - 1/z + 3/(z*z) - 15/(z*z*z) + 105/(z*z*z*z)
-	return LogNormPDF(x) - math.Log(-x) + math.Log(corr)
-}
-
 // NormQuantile returns the standard Normal quantile Phi^{-1}(p) for
 // p in (0, 1). It returns -Inf for p == 0, +Inf for p == 1, and NaN
 // outside [0, 1].

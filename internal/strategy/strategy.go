@@ -64,8 +64,8 @@ type State struct {
 	// FailedAttempts counts checkpoint attempts since the last successful
 	// commit that ran to completion but failed (injected checkpoint
 	// faults, see internal/fault). Always zero in the paper's
-	// failure-free model; failure-aware policies use it to budget
-	// retries.
+	// failure-free model; a user strategy may read it, for instance to
+	// budget commit retries.
 	FailedAttempts int
 }
 
