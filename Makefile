@@ -20,9 +20,10 @@ race:
 
 # Short native-fuzzing pass over the untrusted-input surfaces (trace
 # logs, law construction, checkpoint snapshots, the run engine's resume
-# path, stopping rules, advisor queries and the distrun coordinator's
-# requests); run with a longer FUZZTIME to dig deeper (the nightly
-# workflow uses 10m per target).
+# path, stopping rules, the distrun coordinator's requests, and advisor
+# queries together with the differential check of the advisor's five
+# wire codecs against encoding/json); run with a longer FUZZTIME to dig
+# deeper (the nightly workflow uses 10m per target).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceFit -fuzztime=$(FUZZTIME) ./internal/trace/

@@ -16,8 +16,19 @@
 //	          "ckpt":"norm:5,0.4@[0,inf]","work":12}' \
 //	     http://127.0.0.1:8426/v1/advise
 //
+// and get the dynamic answer's eight keys back:
+//
+//	{"mode":"dynamic","fingerprint":"…","r":29,"checkpoint_now":false,
+//	 "work":12,"elapsed":12,"w_int":20.265…,"has_w_int":true}
+//
+// Each answer carries only its own mode's keys: a static one mode,
+// fingerprint, r, n_opt, e_n_opt and y_opt; a preempt one mode,
+// fingerprint, r, x, expected_work, method, interior, pessimistic_x,
+// pessimistic_work and gain. A failed batch item is {"error":"…"}.
+//
 // Endpoints: POST /v1/advise, POST /v1/advise/batch, GET /healthz, and
-// GET /metrics (Prometheus text exposition of the advisor's counters).
+// GET /metrics (Prometheus text exposition of the advisor's counters,
+// its build and per-endpoint latency sketches and its in-flight gauge).
 //
 // One-shot mode answers a single query on stdout and exits — the same
 // code path the server runs, for scripts and diffing against ckptopt:

@@ -165,6 +165,9 @@ func TestServeEndToEnd(t *testing.T) {
 		"# TYPE reskit_advisor_queries counter",
 		"reskit_advisor_cache_hits",
 		"# TYPE reskit_advisor_build_ns summary",
+		"# TYPE reskit_advisor_http_advise_ns summary",
+		"# TYPE reskit_advisor_http_batch_ns summary",
+		"# TYPE reskit_advisor_in_flight gauge",
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, prom.String())

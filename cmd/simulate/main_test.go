@@ -219,6 +219,31 @@ func TestWorkflowPointMassTask(t *testing.T) {
 	}
 }
 
+// TestWorkflowUnusablePessimisticBound: a zero-length checkpoint gives
+// the pessimistic strategy no finite positive bound. That strategy
+// becomes a note row, and the default comparison still runs the rest.
+func TestWorkflowUnusablePessimisticBound(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"-R", "10", "-task", "det:1", "-ckpt", "det:0", "-trials", "2000"}, &buf); err != nil {
+		t.Fatalf("default strategies: %v\n%s", err, buf.String())
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, rest, ok := strings.Cut(line, " "); ok && rows[name] == "" {
+			rows[name] = strings.TrimSpace(rest)
+		}
+	}
+	for name, want := range map[string]string{
+		"oracle":      "10 ",
+		"static":      "9 ",
+		"pessimistic": "(needs finite positive bounds)",
+	} {
+		if !strings.HasPrefix(rows[name], want) {
+			t.Errorf("row %s = %q, want it to start with %q:\n%s", name, rows[name], want, buf.String())
+		}
+	}
+}
+
 func TestWorkflowFaultPlan(t *testing.T) {
 	var buf strings.Builder
 	err := run([]string{

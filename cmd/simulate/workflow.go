@@ -131,8 +131,9 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 	}
 
 	// Resolve every requested strategy before any simulation runs, so
-	// configuration problems (an unknown name, an unusable pessimistic
-	// bound) surface as errors up front, not mid-table. Each runnable
+	// an unknown name surfaces as an error up front, not mid-table. A
+	// strategy this instance cannot run (the pessimistic bound of a
+	// zero-length checkpoint, say) becomes a note row. Each runnable
 	// strategy is one grid row, in table order.
 	var specs []stratSpec
 	var rows []sim.ReservationRow
@@ -165,7 +166,8 @@ func runWorkflow(ctx context.Context, out io.Writer, r, recovery float64, taskSp
 			pess, perr := reskit.TryPessimisticStrategy(
 				taskMeanLaw.Quantile(0.9999), ckpt.Quantile(0.9999))
 			if perr != nil {
-				return perr
+				s.note = "(needs finite positive bounds)"
+				break
 			}
 			s.cfg.Strategy = ob.counted(pess)
 		case "never":

@@ -108,7 +108,9 @@ func (q Query) elapsed() float64 {
 
 // Answer is one policy decision. It is a flat struct — only the field
 // groups matching Mode are meaningful — so a cache hit materializes it
-// with zero allocations.
+// with zero allocations. On the wire it carries only its mode's keys
+// (wire.go); the json tags name the keys and shape the fallback
+// decoder.
 type Answer struct {
 	Mode        string      `json:"mode"`
 	Fingerprint httpd.Hex64 `json:"fingerprint"`
@@ -216,8 +218,10 @@ type Options struct {
 	// Reg binds the advisor's instruments (nil disables them):
 	// advisor.queries, advisor.cache_hits, advisor.negative_hits,
 	// advisor.builds, advisor.build_errors, advisor.store_hits,
-	// advisor.store_writes, advisor.store_errors counters and the
-	// advisor.build_ns sketch.
+	// advisor.store_writes, advisor.store_errors counters, the
+	// advisor.build_ns sketch, and for Handler the per-endpoint latency
+	// sketches advisor.http_advise_ns and advisor.http_batch_ns and the
+	// advisor.in_flight gauge of requests being served.
 	Reg *obs.Registry
 }
 
@@ -232,6 +236,8 @@ type Advisor struct {
 	queries, hits, negHits, builds, buildErrs *obs.Counter
 	storeHits, storeWrites, storeErrs         *obs.Counter
 	buildNS                                   *obs.Quantiles
+	httpAdviseNS, httpBatchNS                 *obs.Quantiles
+	inFlight                                  *obs.Gauge
 }
 
 // New returns an Advisor with an empty cache.
@@ -248,6 +254,10 @@ func New(opts Options) *Advisor {
 		storeWrites: opts.Reg.Counter("advisor.store_writes"),
 		storeErrs:   opts.Reg.Counter("advisor.store_errors"),
 		buildNS:     opts.Reg.Quantiles("advisor.build_ns"),
+
+		httpAdviseNS: opts.Reg.Quantiles("advisor.http_advise_ns"),
+		httpBatchNS:  opts.Reg.Quantiles("advisor.http_batch_ns"),
+		inFlight:     opts.Reg.Gauge("advisor.in_flight"),
 	}
 	empty := make(map[uint64]*entry)
 	a.cache.Store(&empty)

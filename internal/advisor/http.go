@@ -2,12 +2,15 @@ package advisor
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
+	"time"
 
 	"reskit/internal/httpd"
+	"reskit/internal/obs"
 )
 
 // HTTP surface:
@@ -18,7 +21,11 @@ import (
 //
 // Malformed requests get a 400 with a JSON error body; a batch request
 // that parses gets a 200 with per-item errors inline, so one bad query
-// cannot sink the other 999.
+// cannot sink the other 999. Each answer carries its own mode's keys
+// (wire.go); an answer holding a NaN or an infinity, which JSON cannot
+// carry, gets a 500. With Options.Reg set, each endpoint's latency goes
+// to a sketch and the requests being served to the advisor.in_flight
+// gauge.
 
 const (
 	// maxRequestBytes bounds a request body; at ~200 bytes per query it
@@ -50,7 +57,7 @@ type BatchResponse struct {
 // request decoder's robustness is testable without a socket.
 func DecodeQuery(data []byte) (Query, error) {
 	var q Query
-	if err := json.Unmarshal(data, &q); err != nil {
+	if err := q.UnmarshalJSON(data); err != nil {
 		return Query{}, fmt.Errorf("advisor: bad query JSON: %w", err)
 	}
 	return q, nil
@@ -59,7 +66,7 @@ func DecodeQuery(data []byte) (Query, error) {
 // DecodeBatch parses a batch request body and enforces the size cap.
 func DecodeBatch(data []byte) (BatchRequest, error) {
 	var req BatchRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	if err := req.UnmarshalJSON(data); err != nil {
 		return BatchRequest{}, fmt.Errorf("advisor: bad batch JSON: %w", err)
 	}
 	if len(req.Queries) > maxBatchQueries {
@@ -73,14 +80,35 @@ func DecodeBatch(data []byte) (BatchRequest, error) {
 // (/metrics, /debug/vars) beside it.
 func (a *Advisor) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/advise", a.handleAdvise)
-	mux.HandleFunc("/v1/advise/batch", a.handleBatch)
+	mux.HandleFunc("/v1/advise", a.timed(a.httpAdviseNS, a.handleAdvise))
+	mux.HandleFunc("/v1/advise/batch", a.timed(a.httpBatchNS, a.handleBatch))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
 }
+
+// timed wraps an endpoint in its latency sketch and the in-flight
+// gauge. Without a registry it returns h itself, which reads no clock.
+func (a *Advisor) timed(latency *obs.Quantiles, h http.HandlerFunc) http.HandlerFunc {
+	if latency == nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		a.inFlight.Add(1)
+		defer func() {
+			a.inFlight.Add(-1)
+			latency.Observe(float64(time.Since(start)))
+		}()
+		h(w, r)
+	}
+}
+
+// bufPool holds response buffers, so a warm server encodes its answers
+// without allocating.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (a *Advisor) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	body, ok := httpd.ReadPost(w, r, maxRequestBytes)
@@ -97,9 +125,17 @@ func (a *Advisor) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		httpd.WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	httpd.WriteJSON(w, http.StatusOK, ans)
+	buf := bufPool.Get().(*[]byte)
+	e := encoder{b: (*buf)[:0]}
+	ans.encode(&e)
+	e.raw("\n")
+	writeEncoded(w, &e)
+	*buf = e.b
+	bufPool.Put(buf)
 }
 
+// handleBatch answers every query of the batch in order, appending each
+// answer to the response as it is computed.
 func (a *Advisor) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := httpd.ReadPost(w, r, maxRequestBytes)
 	if !ok {
@@ -110,16 +146,40 @@ func (a *Advisor) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := BatchResponse{Answers: make([]BatchAnswer, len(req.Queries))}
+	buf := bufPool.Get().(*[]byte)
+	e := encoder{b: (*buf)[:0]}
+	e.raw(`{"answers":[`)
 	for i, q := range req.Queries {
-		ans, err := a.Advise(r.Context(), q)
-		if err != nil {
-			resp.Answers[i].Error = err.Error()
-			continue
+		if i > 0 {
+			e.raw(",")
 		}
-		resp.Answers[i].Answer = ans
+		var item BatchAnswer
+		if item.Answer, err = a.Advise(r.Context(), q); err != nil {
+			item.Error = err.Error()
+		}
+		item.encode(&e)
 	}
-	httpd.WriteJSON(w, http.StatusOK, resp)
+	e.raw("]}\n")
+	if e.err == nil {
+		// A body past net/http's own 2 KB buffer would go out chunked,
+		// and the client could not size its read.
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.b)))
+	}
+	writeEncoded(w, &e)
+	*buf = e.b
+	bufPool.Put(buf)
+}
+
+// writeEncoded answers 200 with the encoded body, or 500 when the body
+// held a value JSON cannot carry. Callers end the body with a newline,
+// as httpd.WriteJSON ends its bodies.
+func writeEncoded(w http.ResponseWriter, e *encoder) {
+	if e.err != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, "advisor: encoding the answer: "+e.err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(e.b) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 // statusFor maps an Advise error to an HTTP status: context

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"time"
 )
 
@@ -116,8 +117,16 @@ func (e *StatusError) Error() string {
 // growing context-aware pause; 4xx responses return a *StatusError
 // immediately. The request body is marshalled once and replayed on each
 // attempt, so the peer sees identical bytes every time.
+//
+// When in implements json.Marshaler, or out json.Unmarshaler, PostJSON
+// calls that method directly instead of going through encoding/json,
+// whose reflective walk and validation scans cost more than a
+// hand-written codec (the advisor's wire types). Such a MarshalJSON must
+// write complete, valid JSON, and such an UnmarshalJSON must reject
+// invalid input itself; it sees the body without surrounding
+// whitespace, as encoding/json would hand it over.
 func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
+	body, err := marshal(in)
 	if err != nil {
 		return fmt.Errorf("httpd: encoding request for %s: %w", url, err)
 	}
@@ -161,7 +170,7 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, out any)
 		return true, fmt.Errorf("httpd: POST %s: %w", url, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	data, err := readBody(io.LimitReader(resp.Body, maxResponseBytes), min(resp.ContentLength, maxResponseBytes))
 	if err != nil {
 		return true, fmt.Errorf("httpd: reading %s response: %w", url, err)
 	}
@@ -175,10 +184,34 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, out any)
 	if out == nil {
 		return false, nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := unmarshal(data, out); err != nil {
 		return false, fmt.Errorf("httpd: decoding %s response: %w", url, err)
 	}
 	return false, nil
+}
+
+// marshal encodes v, calling its own MarshalJSON when it has one.
+func marshal(v any) ([]byte, error) {
+	if m, ok := v.(json.Marshaler); ok && !isNilPointer(v) {
+		return m.MarshalJSON()
+	}
+	return json.Marshal(v)
+}
+
+// unmarshal decodes data into v, calling its own UnmarshalJSON when it
+// has one.
+func unmarshal(data []byte, v any) error {
+	if u, ok := v.(json.Unmarshaler); ok && !isNilPointer(v) {
+		return u.UnmarshalJSON(bytes.Trim(data, " \t\r\n"))
+	}
+	return json.Unmarshal(data, v)
+}
+
+// isNilPointer reports whether v is a nil pointer, which encoding/json
+// handles and a method call would not.
+func isNilPointer(v any) bool {
+	rv := reflect.ValueOf(v)
+	return rv.Kind() == reflect.Pointer && rv.IsNil()
 }
 
 // decodeErrorBody extracts the conventional {"error": ...} message from

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -224,6 +225,64 @@ func TestShutdownIdempotent(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("second Shutdown hung")
+		}
+	}
+}
+
+// ownCodec has JSON methods of its own, so PostJSON calls them directly:
+// the request goes out as MarshalJSON wrote it, uncompacted, and the
+// response reaches UnmarshalJSON without the whitespace around it and
+// without encoding/json's validation, which would refuse it.
+type ownCodec struct{ got string }
+
+func (ownCodec) MarshalJSON() ([]byte, error) { return []byte(`{ "own" : 1 }`), nil }
+
+func (c *ownCodec) UnmarshalJSON(b []byte) error {
+	c.got = string(b)
+	return nil
+}
+
+func TestClientCallsOwnCodecs(t *testing.T) {
+	var sent atomic.Value
+	url := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		sent.Store(string(body))
+		fmt.Fprint(w, "\n  not json  \n")
+	}))
+	c := NewClient()
+	var out ownCodec
+	if err := c.PostJSON(context.Background(), url, ownCodec{}, &out); err != nil {
+		t.Fatalf("PostJSON: %v", err)
+	}
+	if got := sent.Load(); got != `{ "own" : 1 }` {
+		t.Errorf("server received %q, want MarshalJSON's bytes", got)
+	}
+	if out.got != "not json" {
+		t.Errorf("UnmarshalJSON saw %q, want the trimmed body", out.got)
+	}
+	// A nil pointer has no method to call; it goes out as null.
+	if err := c.PostJSON(context.Background(), url, (*ownCodec)(nil), nil); err != nil {
+		t.Fatalf("PostJSON of a nil pointer: %v", err)
+	}
+	if got := sent.Load(); got != "null" {
+		t.Errorf("a nil pointer went out as %q, want null", got)
+	}
+}
+
+// TestReadBodyPresizeIsCapped: a declared length presizes the buffer,
+// but buys at most maxPresize bytes before any body byte arrives; a
+// body longer than declared, or of unknown length, is still read whole.
+func TestReadBodyPresizeIsCapped(t *testing.T) {
+	for _, c := range []struct {
+		body     string
+		declared int64
+	}{{"{}", 64 << 20}, {"{}", 2}, {strings.Repeat("x", 3000), 10}, {"abc", -1}, {"", 0}} {
+		b, err := readBody(strings.NewReader(c.body), c.declared)
+		if err != nil || string(b) != c.body {
+			t.Errorf("declared %d: read %d bytes, %v; want the %d-byte body", c.declared, len(b), err, len(c.body))
+		}
+		if cap(b) > max(maxPresize+1, 2*len(c.body)+512) {
+			t.Errorf("declared %d, body %d bytes: buffer of %d bytes", c.declared, len(c.body), cap(b))
 		}
 	}
 }

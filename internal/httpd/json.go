@@ -31,7 +31,7 @@ func ReadPost(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), min(r.ContentLength, limit))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -42,6 +42,35 @@ func ReadPost(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 		return nil, false
 	}
 	return body, true
+}
+
+// maxPresize caps the buffer a declared length buys before any body
+// byte arrives: past it, a body's buffer grows only with what is read,
+// so a request header alone cannot make a 64 MiB allocation.
+const maxPresize = 256 << 10
+
+// readBody reads r to EOF like io.ReadAll, into a buffer sized from
+// declared, the length the peer announced (negative when unknown),
+// capped at maxPresize.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared, maxPresize) + 1 // room for the read that sees EOF
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // WriteJSON answers with status and v encoded as JSON, HTML escaping
@@ -66,7 +95,18 @@ type Hex64 uint64
 
 // MarshalJSON renders the value as "%016x".
 func (h Hex64) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + fmt.Sprintf("%016x", uint64(h)) + `"`), nil
+	return h.AppendJSON(make([]byte, 0, 18)), nil
+}
+
+// AppendJSON appends the value's JSON form, 16 lower-case hex digits in
+// quotes, to b.
+func (h Hex64) AppendJSON(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	b = append(b, '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[uint64(h)>>shift&0xf])
+	}
+	return append(b, '"')
 }
 
 // UnmarshalJSON accepts the hex-string form.

@@ -2,6 +2,7 @@ package quad
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -69,6 +70,37 @@ func TestKronrodBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state KronrodBatch allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestKronrodBatchFreshWorkspaceIsSmall: sync.Pool drops idle
+// workspaces after two garbage collections, so an integration that
+// runs rarely (the exact path of a dynamic decision) pays for a fresh
+// one each time. That must cost what the integration uses, not a heap
+// sized for maxKronrodPanels.
+func TestKronrodBatchFreshWorkspaceIsSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops cached items under -race; allocation sizes do not hold")
+	}
+	f := batchOf(math.Exp)
+	KronrodBatch(f, 0, 1, 1e-12, 1e-10)
+	// TotalAlloc counts every goroutine of the process, so take the
+	// smallest of a few tries.
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := KronrodBatch(f, 0, 1, 1e-12, 1e-10)
+		runtime.ReadMemStats(&after)
+		if !res.Converged || res.NumEvals != 150 {
+			t.Fatalf("smooth integrand: %+v, want convergence on the 10 seed panels", res)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 2048 {
+		t.Errorf("KronrodBatch on a fresh workspace allocated %d B, want < 2 KB", least)
 	}
 }
 

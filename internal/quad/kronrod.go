@@ -55,9 +55,17 @@ type kronrodWS struct {
 	heap []panel
 }
 
+// initialKronrodPanels is the heap capacity of a fresh workspace. The
+// heap grows by append up to maxKronrodPanels and the pooled workspace
+// keeps what it grew. Sizing a fresh one for the cap instead would
+// cost 74 KB each time sync.Pool drops its idle workspaces (after two
+// garbage collections), and most integrations never leave the seed
+// panels.
+const initialKronrodPanels = 16
+
 var kronrodPool = sync.Pool{
 	New: func() interface{} {
-		return &kronrodWS{heap: make([]panel, 0, maxKronrodPanels+1)}
+		return &kronrodWS{heap: make([]panel, 0, initialKronrodPanels)}
 	},
 }
 
